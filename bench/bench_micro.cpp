@@ -1,14 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the core kernels the whole
 // reproduction leans on: packed AIG simulation, structural hashing,
-// DT split scanning, ESPRESSO expansion, ISOP, and the optimize() pipeline.
+// DT split scanning, ESPRESSO expansion, ISOP, and the `fast` synth preset.
 
 #include <benchmark/benchmark.h>
 
-#include "aig/aig_opt.hpp"
 #include "aig/aig_random.hpp"
 #include "core/rng.hpp"
 #include "learn/dt.hpp"
 #include "sop/espresso.hpp"
+#include "synth/pass_manager.hpp"
 #include "tt/isop.hpp"
 
 namespace {
@@ -67,8 +67,12 @@ BENCHMARK(BM_AigStrash)->Arg(1000)->Arg(10000);
 
 void BM_AigOptimize(benchmark::State& state) {
   const auto g = make_cone(32, static_cast<std::uint32_t>(state.range(0)), 4);
+  synth::SynthOptions options;
+  options.node_budget = 0;
+  const synth::PassManager manager(options);
+  const synth::Script fast = synth::Script::preset("fast");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aig::optimize(g).num_ands());
+    benchmark::DoNotOptimize(manager.run(g, fast).circuit.num_ands());
   }
 }
 BENCHMARK(BM_AigOptimize)->Arg(300)->Arg(1500)->Unit(benchmark::kMillisecond);

@@ -1,7 +1,8 @@
 // Serial vs parallel contest execution on the oracle suite.
 //
-// Runs the same multi-team contest twice — num_threads=1 and
-// num_threads=N (LSML_THREADS, default 8) — verifies the two runs are
+// Runs the same multi-team contest twice through suite::run_contest_on
+// (cache and artifacts off) — num_threads=1 and num_threads=N
+// (LSML_THREADS, default 8) — verifies the two runs are
 // identical result-for-result, and reports the wall-clock speedup. This is
 // the scalability check for the engine behind Table III and Figs. 2-4:
 // parallelism must buy time and nothing else.
@@ -65,34 +66,36 @@ int main() {
               entries.size(), suite.size(), entries.size() * suite.size(),
               core::ThreadPool::default_num_threads());
 
-  portfolio::ContestOptions serial;
-  serial.num_threads = 1;
-  portfolio::ContestStats serial_stats;
+  // The in-memory contest: cache and artifacts off, so both runs compute
+  // every task.
+  suite::RunnerOptions options;
+  options.cache_dir.clear();
+  options.write_artifacts = false;
+  options.seed = 2020;
+
+  options.num_threads = 1;
   std::printf("serial run (1 thread)...\n");
-  const auto serial_runs =
-      portfolio::run_contest(entries, suite, 2020, serial, &serial_stats);
+  const suite::RunnerReport serial =
+      suite::run_contest_on(entries, suite, options);
 
-  portfolio::ContestOptions parallel;
-  parallel.num_threads = threads;
-  portfolio::ContestStats parallel_stats;
+  options.num_threads = threads;
   std::printf("parallel run (%d threads)...\n", threads);
-  const auto parallel_runs =
-      portfolio::run_contest(entries, suite, 2020, parallel, &parallel_stats);
+  const suite::RunnerReport parallel =
+      suite::run_contest_on(entries, suite, options);
 
-  const bool match = identical(serial_runs, parallel_runs);
-  const double speedup =
-      parallel_stats.elapsed_ms > 0.0
-          ? serial_stats.elapsed_ms / parallel_stats.elapsed_ms
-          : 0.0;
+  const bool match = identical(serial.runs, parallel.runs);
+  const double speedup = parallel.elapsed_ms > 0.0
+                             ? serial.elapsed_ms / parallel.elapsed_ms
+                             : 0.0;
 
-  std::printf("\nserial:   %10.0f ms\n", serial_stats.elapsed_ms);
-  std::printf("parallel: %10.0f ms  (%d threads)\n", parallel_stats.elapsed_ms,
+  std::printf("\nserial:   %10.0f ms\n", serial.elapsed_ms);
+  std::printf("parallel: %10.0f ms  (%d threads)\n", parallel.elapsed_ms,
               threads);
   std::printf("speedup:  %10.2fx\n", speedup);
   std::printf("results identical: %s\n", match ? "yes" : "NO — BUG");
 
   std::printf("\nleaderboard (parallel run):\n%s",
-              portfolio::format_leaderboard(parallel_runs).c_str());
+              portfolio::format_leaderboard(parallel.runs).c_str());
 
   return match ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 #include "oracle/suite.hpp"
 #include "portfolio/contest.hpp"
 #include "portfolio/team.hpp"
+#include "suite/runner.hpp"
 
 int main() {
   using namespace lsml;
@@ -28,18 +29,21 @@ int main() {
   portfolio::TeamOptions team_options;
   team_options.scale = core::Scale::kSmoke;  // trimmed grids for the demo
 
-  portfolio::ContestOptions contest_options;
+  // The in-memory contest: the one driver with cache and artifacts off.
+  suite::RunnerOptions options;
+  options.cache_dir.clear();
+  options.write_artifacts = false;
+  options.seed = 99;
   // 0 = one worker per hardware thread; LSML_THREADS overrides.
-  contest_options.num_threads = core::threads_from_env("LSML_THREADS", 0);
-  contest_options.verbosity = 1;
+  options.num_threads = core::threads_from_env("LSML_THREADS", 0);
+  options.verbosity = 1;
 
-  portfolio::ContestStats stats;
-  const std::vector<portfolio::TeamRun> runs = portfolio::run_contest(
-      portfolio::contest_entries({2, 7, 8, 10}, team_options), suite, 99,
-      contest_options, &stats);
+  const suite::RunnerReport report = suite::run_contest_on(
+      portfolio::contest_entries({2, 7, 8, 10}, team_options), suite, options);
+  const std::vector<portfolio::TeamRun>& runs = report.runs;
 
   std::printf("\nran %d (team x benchmark) tasks in %.0f ms\n",
-              stats.tasks_completed, stats.elapsed_ms);
+              report.cache_hits + report.cache_misses, report.elapsed_ms);
   std::cout << "\n" << portfolio::format_leaderboard(runs);
 
   std::cout << "\nwhat each team picked per benchmark:\n";

@@ -51,9 +51,22 @@ Aig read_aag(std::istream& is) {
   if (l != 0) {
     throw std::runtime_error("read_aag: latches not supported");
   }
-  if (m != i + a) {
+  if (static_cast<std::uint64_t>(i) + a != m) {
     throw std::runtime_error("read_aag: non-contiguous variable numbering");
   }
+  // Literals are 32-bit (2 * var + complement): no variable above
+  // lit_var(~0) can be referenced, and M + 1 below cannot wrap.
+  if (m > lit_var(~Lit{0})) {
+    throw std::runtime_error("read_aag: M exceeds the literal range");
+  }
+  // Every literal is checked against M before it indexes anything.
+  const auto var_of = [m](Lit lit, const char* what) {
+    if (lit_var(lit) > m) {
+      throw std::runtime_error(std::string("read_aag: ") + what +
+                               " variable exceeds M");
+    }
+    return lit_var(lit);
+  };
   Aig aig(i);
   std::vector<Lit> pi_lits(i);
   for (std::uint32_t k = 0; k < i; ++k) {
@@ -61,6 +74,7 @@ Aig read_aag(std::istream& is) {
     if (!(is >> lit) || lit_compl(lit)) {
       throw std::runtime_error("read_aag: bad input literal");
     }
+    var_of(lit, "input");
     pi_lits[k] = lit;
   }
   std::vector<Lit> out_lits(o);
@@ -68,13 +82,22 @@ Aig read_aag(std::istream& is) {
     if (!(is >> lit)) {
       throw std::runtime_error("read_aag: bad output literal");
     }
+    var_of(lit, "output");
   }
   // Map from file variable to our literal. PIs are expected in order
-  // 2,4,6,... as AIGER recommends; we remap defensively anyway.
+  // 2,4,6,... as AIGER recommends; we remap defensively anyway. Variable 0
+  // is the constant; everything else must be defined once, before use.
   std::vector<Lit> map(m + 1, kLitFalse);
-  map[0] = kLitFalse;
+  std::vector<bool> defined(m + 1, false);
+  defined[0] = true;
   for (std::uint32_t k = 0; k < i; ++k) {
-    map[lit_var(pi_lits[k])] = aig.pi(k);
+    const std::uint32_t v = lit_var(pi_lits[k]);
+    if (defined[v]) {
+      throw std::runtime_error("read_aag: input redefines variable " +
+                               std::to_string(v));
+    }
+    defined[v] = true;
+    map[v] = aig.pi(k);
   }
   for (std::uint32_t k = 0; k < a; ++k) {
     Lit lhs = 0;
@@ -83,9 +106,20 @@ Aig read_aag(std::istream& is) {
     if (!(is >> lhs >> rhs0 >> rhs1) || lit_compl(lhs)) {
       throw std::runtime_error("read_aag: bad and line");
     }
-    const Lit f0 = lit_notc(map[lit_var(rhs0)], lit_compl(rhs0));
-    const Lit f1 = lit_notc(map[lit_var(rhs1)], lit_compl(rhs1));
-    map[lit_var(lhs)] = aig.and2(f0, f1);
+    const std::uint32_t v = var_of(lhs, "and");
+    const std::uint32_t v0 = var_of(rhs0, "fanin");
+    const std::uint32_t v1 = var_of(rhs1, "fanin");
+    if (defined[v]) {
+      throw std::runtime_error("read_aag: and line redefines variable " +
+                               std::to_string(v));
+    }
+    if (!defined[v0] || !defined[v1]) {
+      throw std::runtime_error("read_aag: and line uses undefined variable " +
+                               std::to_string(defined[v0] ? v1 : v0));
+    }
+    map[v] = aig.and2(lit_notc(map[v0], lit_compl(rhs0)),
+                      lit_notc(map[v1], lit_compl(rhs1)));
+    defined[v] = true;
   }
   for (Lit lit : out_lits) {
     aig.add_output(lit_notc(map[lit_var(lit)], lit_compl(lit)));

@@ -357,23 +357,4 @@ Aig rewrite(const Aig& in, int cut_size, int cuts_per_node) {
   return Rewriter(in, cut_size, cuts_per_node).run();
 }
 
-Aig optimize(const Aig& in, int max_rounds) {
-  Aig best = in.cleanup();
-  for (int round = 0; round < max_rounds; ++round) {
-    Aig candidate = rewrite(balance(best));
-    candidate = candidate.cleanup();
-    if (candidate.num_ands() >= best.num_ands()) {
-      break;
-    }
-    best = std::move(candidate);
-  }
-  // Final depth pass if it does not cost size.
-  Aig balanced = balance(best).cleanup();
-  if (balanced.num_ands() <= best.num_ands() &&
-      balanced.num_levels() < best.num_levels()) {
-    return balanced;
-  }
-  return best;
-}
-
 }  // namespace lsml::aig

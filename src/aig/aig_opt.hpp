@@ -4,7 +4,9 @@
 // Stand-in for the ABC `resyn2`-style cleanup every team ran on their
 // synthesized circuits: tree balancing (depth), cut-based rewriting via
 // ISOP resynthesis (size), and dangling-node removal. All passes are
-// verified to preserve functionality in the test suite.
+// verified to preserve functionality in the test suite. Learners and
+// portfolios sequence them through synth::PassManager, which adds scripts,
+// budgets, and per-pass stats on top.
 
 #include "aig/aig.hpp"
 
@@ -19,11 +21,5 @@ Aig balance(const Aig& in);
 /// clamped to [2, 6] (6-leaf cuts fit a 64-bit truth table); larger cuts
 /// behave like ABC's refactor, smaller like its rewrite.
 Aig rewrite(const Aig& in, int cut_size = 4, int cuts_per_node = 8);
-
-/// Full pipeline: iterates cleanup/balance/rewrite until no improvement.
-/// Never returns a larger AIG than the cleaned-up input. Low-level helper;
-/// learners and portfolios go through synth::PassManager instead, which
-/// adds scripts, budgets, and per-pass stats on top of these passes.
-Aig optimize(const Aig& in, int max_rounds = 3);
 
 }  // namespace lsml::aig

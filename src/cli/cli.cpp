@@ -564,9 +564,9 @@ int cmd_run(const std::vector<std::string>& args) {
                     : saved / static_cast<double>(report.runs.size()),
                 synth_ms);
   }
-  if (report.stats.budget_exceeded) {
+  if (report.budget_exceeded) {
     std::printf("warning: run exceeded --time-budget-ms (%.0f ms > %lld ms)\n",
-                report.stats.elapsed_ms,
+                report.elapsed_ms,
                 static_cast<long long>(options.time_budget_ms));
   }
   std::printf("leaderboard: %s\n             %s\n",

@@ -31,7 +31,7 @@ ScaleConfig scale_from_env();
 
 /// Reads a thread-count env var (benches/examples use LSML_THREADS).
 /// Unset, non-numeric, negative, or > 4096 values return `fallback`; 0
-/// means "one worker per hardware thread" (ContestOptions/ThreadPool
+/// means "one worker per hardware thread" (RunnerOptions/ThreadPool
 /// convention).
 int threads_from_env(const char* name, int fallback);
 

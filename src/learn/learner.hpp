@@ -11,8 +11,8 @@
 // finish_model, which optimizes through the process-default
 // synth::OptRequest (the installed synth::default_optimizer(); memoized
 // by circuit structure) exactly once and records the pass trace. No
-// learner calls aig::optimize directly; "how circuits get optimized" is
-// the pass manager's contract, not each learner's habit. Under an "auto"
+// learner runs AIG passes directly; "how circuits get optimized" is the
+// pass manager's contract, not each learner's habit. Under an "auto"
 // request the script itself is chosen per circuit by synth::ScriptSearch.
 
 #include <memory>

@@ -1,14 +1,8 @@
 #include "portfolio/contest.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <mutex>
 #include <sstream>
 
-#include "core/thread_pool.hpp"
-#include "learn/dt.hpp"
 #include "synth/script_search.hpp"
 
 namespace lsml::portfolio {
@@ -144,113 +138,6 @@ BenchmarkResult evaluate_on(learn::Learner& learner,
     *circuit_out = std::move(model.circuit);
   }
   return result;
-}
-
-bool finalize_contest_stats(double elapsed_ms, int tasks_completed,
-                            std::int64_t time_budget_ms, int verbosity,
-                            ContestStats* stats) {
-  const bool over_budget =
-      time_budget_ms > 0 && elapsed_ms > static_cast<double>(time_budget_ms);
-  if (over_budget && verbosity >= 1) {
-    std::fprintf(stderr, "contest exceeded time budget: %.0f ms > %lld ms\n",
-                 elapsed_ms, static_cast<long long>(time_budget_ms));
-  }
-  if (stats != nullptr) {
-    stats->elapsed_ms = elapsed_ms;
-    stats->tasks_completed = tasks_completed;
-    stats->budget_exceeded = over_budget;
-  }
-  return over_budget;
-}
-
-namespace {
-
-/// Serial and parallel paths both derive task randomness from contest_rng.
-core::Rng task_rng(std::uint64_t seed, int team_number,
-                   const oracle::Benchmark& bench) {
-  return contest_rng(seed, team_number, bench.id);
-}
-
-/// One flattened (entry, benchmark) work item of a contest run.
-struct ContestTask {
-  std::size_t entry = 0;
-  std::size_t bench = 0;
-};
-
-}  // namespace
-
-TeamRun run_suite(learn::Learner& learner, int team_number,
-                  const std::vector<oracle::Benchmark>& suite,
-                  std::uint64_t seed) {
-  TeamRun run;
-  run.team = team_number;
-  run.results.reserve(suite.size());
-  for (const auto& bench : suite) {
-    core::Rng rng = task_rng(seed, team_number, bench);
-    run.results.push_back(evaluate_on(learner, bench, rng));
-  }
-  return run;
-}
-
-TeamRun run_suite(const learn::LearnerFactory& factory, int team_number,
-                  const std::vector<oracle::Benchmark>& suite,
-                  std::uint64_t seed, const ContestOptions& options,
-                  ContestStats* stats) {
-  std::vector<TeamRun> runs =
-      run_contest({{team_number, factory}}, suite, seed, options, stats);
-  return std::move(runs.front());
-}
-
-std::vector<TeamRun> run_contest(const std::vector<ContestEntry>& entries,
-                                 const std::vector<oracle::Benchmark>& suite,
-                                 std::uint64_t seed,
-                                 const ContestOptions& options,
-                                 ContestStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-
-  std::vector<TeamRun> runs(entries.size());
-  std::vector<ContestTask> tasks;
-  tasks.reserve(entries.size() * suite.size());
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    runs[e].team = entries[e].team;
-    runs[e].results.resize(suite.size());
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-      tasks.push_back({e, b});
-    }
-  }
-
-  std::mutex progress_mutex;
-  std::vector<std::size_t> team_remaining(entries.size(), suite.size());
-  const auto run_task = [&](std::size_t t) {
-    const ContestTask& task = tasks[t];
-    const ContestEntry& entry = entries[task.entry];
-    const oracle::Benchmark& bench = suite[task.bench];
-    const std::unique_ptr<learn::Learner> learner = entry.factory.make();
-    core::Rng rng = task_rng(seed, entry.team, bench);
-    // Writes land in a pre-sized slot, so completion order never matters.
-    runs[task.entry].results[task.bench] = evaluate_on(*learner, bench, rng);
-    if (options.verbosity >= 1) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      if (options.verbosity >= 2) {
-        std::fprintf(stderr, "  team %d  %s  done\n", entry.team,
-                     bench.name.c_str());
-      }
-      if (--team_remaining[task.entry] == 0) {
-        std::fprintf(stderr, "team %d finished %zu benchmarks\n", entry.team,
-                     suite.size());
-      }
-    }
-  };
-
-  core::ThreadPool::run_indexed(tasks.size(), options.num_threads, run_task);
-
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  finalize_contest_stats(elapsed_ms, static_cast<int>(tasks.size()),
-                         options.time_budget_ms, options.verbosity, stats);
-  return runs;
 }
 
 std::vector<ParetoPoint> virtual_best_pareto(

@@ -1,16 +1,16 @@
 #pragma once
-// Contest runner and evaluation analytics.
+// Contest tasks and evaluation analytics.
 //
-// Runs learners over the benchmark suite and computes every aggregate the
+// Evaluates one learner on one benchmark and computes every aggregate the
 // paper reports: Table III rows (test accuracy / AND gates / levels /
 // overfit), the accuracy-size Pareto frontier of the virtual best (Fig. 2),
 // per-benchmark maximum accuracy (Fig. 3), and win rates (Fig. 4).
 //
 // Execution model: the contest is a bag of independent (team, benchmark)
-// tasks. Each task gets its own learner instance (built from a
-// LearnerFactory) and its own RNG stream derived by Rng::split(team,
-// benchmark), so the parallel engine produces bit-identical results to the
-// serial one at any thread count.
+// tasks, driven by suite::run_contest_on (suite/runner.hpp). Each task gets
+// its own learner instance (built from a LearnerFactory) and its own RNG
+// stream derived by Rng::split(team, benchmark), so a parallel run produces
+// bit-identical results to a serial one at any thread count.
 
 #include <cstdint>
 #include <string>
@@ -21,28 +21,6 @@
 #include "oracle/suite.hpp"
 
 namespace lsml::portfolio {
-
-/// Knobs of the contest execution engine.
-struct ContestOptions {
-  /// Concurrent workers for (team x benchmark) tasks. 1 (or negative) =
-  /// serial in the calling thread; 0 = one per hardware thread; N > 1 =
-  /// exactly N pool workers. Never changes results.
-  int num_threads = 1;
-  /// Soft wall-clock budget for a whole contest run. 0 = unlimited. All
-  /// tasks always run to completion (determinism first); when the budget is
-  /// blown the run is flagged in ContestStats and, at verbosity >= 1, on
-  /// stderr.
-  std::int64_t time_budget_ms = 0;
-  /// 0 = silent, 1 = per-team progress, 2 = per-task lines.
-  int verbosity = 0;
-};
-
-/// What the engine observed while running (all threads included).
-struct ContestStats {
-  double elapsed_ms = 0.0;
-  int tasks_completed = 0;
-  bool budget_exceeded = false;
-};
 
 struct BenchmarkResult {
   int benchmark_id = 0;
@@ -99,15 +77,15 @@ struct TeamRun {
 
 /// The engine's one seeding rule: every (team, benchmark) task draws from
 /// root(seed).split(team, benchmark_id), never from a sequentially advanced
-/// generator. Exposed so external drivers (the disk-suite runner, benches)
-/// can produce tasks bit-identical to run_contest's.
+/// generator. Exposed so tests and benches can reproduce any single task
+/// of suite::run_contest_on bit for bit.
 core::Rng contest_rng(std::uint64_t seed, int team_number, int benchmark_id);
 
 /// Evaluates one learner on one benchmark. When `circuit_out` is non-null
 /// it receives the synthesized AIG (the contest deliverable), so callers
 /// can export AIGER artifacts without re-running the learner.
 ///
-/// The deliverable honors the process-default synth::Pipeline's node
+/// The deliverable honors the process-default synth::OptRequest's node
 /// budget unconditionally: if the learner hands back a circuit over
 /// budget, one approx script runs here (with the task RNG) and the
 /// accuracies are re-measured — so every exported artifact fits the
@@ -116,45 +94,12 @@ BenchmarkResult evaluate_on(learn::Learner& learner,
                             const oracle::Benchmark& bench, core::Rng& rng,
                             aig::Aig* circuit_out = nullptr);
 
-/// Shared epilogue of both drivers (the in-memory contest and the
-/// disk-suite runner): fills `stats` from the observed run and applies
-/// the soft time-budget contract — all tasks always run to completion;
-/// blowing the budget only flags the run (and reports on stderr at
-/// verbosity >= 1). Returns the budget_exceeded flag.
-bool finalize_contest_stats(double elapsed_ms, int tasks_completed,
-                            std::int64_t time_budget_ms, int verbosity,
-                            ContestStats* stats);
-
-/// Runs a learner over the whole suite, serially. The learner instance is
-/// reused across benchmarks, but each benchmark draws from its own
-/// Rng::split(team, benchmark) stream, so results match the factory-based
-/// overload below task-for-task.
-TeamRun run_suite(learn::Learner& learner, int team_number,
-                  const std::vector<oracle::Benchmark>& suite,
-                  std::uint64_t seed);
-
-/// Runs one team over the suite with `options.num_threads` workers; every
+/// One contestant: a team number plus the recipe for its learner. Every
 /// task builds a fresh learner from `factory`.
-TeamRun run_suite(const learn::LearnerFactory& factory, int team_number,
-                  const std::vector<oracle::Benchmark>& suite,
-                  std::uint64_t seed, const ContestOptions& options,
-                  ContestStats* stats = nullptr);
-
-/// One contestant: a team number plus the recipe for its learner.
 struct ContestEntry {
   int team = 0;
   learn::LearnerFactory factory;
 };
-
-/// The full multi-team contest driver: all (team x benchmark) tasks share
-/// one pool, so a slow team cannot serialize the tail of the run. Results
-/// are ordered as `entries` and, within a team, as `suite` — independent of
-/// thread count and completion order.
-std::vector<TeamRun> run_contest(const std::vector<ContestEntry>& entries,
-                                 const std::vector<oracle::Benchmark>& suite,
-                                 std::uint64_t seed,
-                                 const ContestOptions& options = {},
-                                 ContestStats* stats = nullptr);
 
 /// One (size, accuracy) point per budget: for each budget, each benchmark
 /// contributes its best candidate among all runs whose size fits.

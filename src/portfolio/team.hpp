@@ -41,7 +41,7 @@ learn::LearnerFactory team_factory(int number, const TeamOptions& options);
 void register_team_factories(const TeamOptions& options);
 
 /// Contest entries for the given team numbers (convenience for
-/// run_contest; pass all_team_numbers() for the full contest).
+/// suite::run_contest_on; pass all_team_numbers() for the full contest).
 std::vector<ContestEntry> contest_entries(const std::vector<int>& teams,
                                           const TeamOptions& options);
 

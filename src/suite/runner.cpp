@@ -309,10 +309,15 @@ RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
   report.elapsed_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-  portfolio::finalize_contest_stats(
-      report.elapsed_ms, report.cache_hits + report.cache_misses,
-      options.time_budget_ms, options.verbosity, &report.stats);
+  report.budget_exceeded =
+      options.time_budget_ms > 0 &&
+      report.elapsed_ms > static_cast<double>(options.time_budget_ms);
   if (options.verbosity >= 1) {
+    if (report.budget_exceeded) {
+      std::fprintf(stderr, "contest exceeded time budget: %.0f ms > %lld ms\n",
+                   report.elapsed_ms,
+                   static_cast<long long>(options.time_budget_ms));
+    }
     std::fprintf(stderr,
                  "suite run: %zu tasks, %d from cache, %d computed "
                  "(%.0f ms)\n",

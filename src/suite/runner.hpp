@@ -1,13 +1,16 @@
 #pragma once
-// Disk-backed contest runner: the engine behind `lsml run`.
+// The one contest driver: the engine behind `lsml run`, the benches, the
+// examples and the tests.
 //
-// Loads a suite directory (one PLA triple per benchmark) and runs the
-// requested contest entries over it, sharded across core::ThreadPool with
-// the exact seeding rule of portfolio::run_contest — so a disk run of the
-// generated suite is bit-identical to the in-memory contest at any thread
-// count. Completed tasks are memoized in a ResultCache keyed by content
-// hash: a second run over unchanged inputs recomputes nothing and rewrites
-// byte-identical artifacts. Outputs:
+// Runs the requested contest entries over a suite
+// (loaded from a directory of PLA triples, or already in memory), sharded
+// across core::ThreadPool. Every (team, benchmark) task builds a fresh
+// learner and draws from portfolio::contest_rng, so results are
+// bit-identical at any thread count. Completed tasks are memoized in a
+// ResultCache keyed by content hash: a second run over unchanged inputs
+// recomputes nothing and rewrites byte-identical artifacts. An in-memory
+// run is the same call with `cache_dir` empty and `write_artifacts` off.
+// Outputs:
 //   <out>/aig/<team_key>/<benchmark>.aag   synthesized circuits (AIGER)
 //   <out>/leaderboard.csv                  per-(team, benchmark) rows
 //   <out>/leaderboard.json                 Table III columns per team
@@ -31,8 +34,12 @@ struct RunnerOptions {
   /// factory name does not capture (e.g. the team grid scale), so results
   /// computed under one configuration are never served under another.
   std::uint64_t config_salt = 0;
-  /// ContestOptions convention: 1/negative serial, 0 hardware threads.
+  /// Concurrent task workers: 1 (or negative) = serial in the calling
+  /// thread, 0 = one per hardware thread, N > 1 = exactly N. Never changes
+  /// results.
   int num_threads = 0;
+  /// 0 = silent, 1 = run summary (and the budget warning), 2 = per-task
+  /// lines too; all on stderr.
   int verbosity = 0;
   /// Skip AIGER/leaderboard files (tests and benches that only want runs).
   bool write_artifacts = true;
@@ -43,9 +50,10 @@ struct RunnerOptions {
   /// task). Its experience_dir is overridden with `cache_dir` at run time
   /// so an auto run's learned scripts persist next to its results.
   synth::OptRequest opt;
-  /// Soft wall-clock budget for the whole run; 0 = unlimited. Same
-  /// contract as portfolio::ContestOptions::time_budget_ms: all tasks run
-  /// to completion, the run is only flagged in `stats`.
+  /// Soft wall-clock budget for the whole run; 0 = unlimited. All tasks
+  /// always run to completion (determinism first); a blown budget only
+  /// sets RunnerReport::budget_exceeded and, at verbosity >= 1, prints a
+  /// line on stderr.
   std::int64_t time_budget_ms = 0;
 };
 
@@ -55,9 +63,8 @@ struct RunnerReport {
   int cache_hits = 0;
   int cache_misses = 0;
   double elapsed_ms = 0.0;
-  /// Same shape both contest drivers fill (tasks, elapsed, soft-budget
-  /// flag); cache hits count as completed tasks.
-  portfolio::ContestStats stats;
+  /// elapsed_ms exceeded a nonzero RunnerOptions::time_budget_ms.
+  bool budget_exceeded = false;
   std::string leaderboard_csv_path;  ///< empty unless artifacts written
   std::string leaderboard_json_path;
 };
@@ -66,8 +73,10 @@ struct RunnerReport {
 /// factory's registered name when set, else "team<N>".
 std::string entry_key(const portfolio::ContestEntry& entry);
 
-/// Runs `entries` over an already-loaded suite (tests and bench_common
-/// call this directly; `lsml run` goes through run_suite_dir).
+/// Runs `entries` over an already-loaded suite (tests, benches and
+/// examples call this directly; `lsml run` goes through run_suite_dir).
+/// Entry keys must be unique (std::invalid_argument otherwise). Results
+/// are ordered as `entries` and, within an entry, as `suite`.
 RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
                             const std::vector<oracle::Benchmark>& suite,
                             const RunnerOptions& options);

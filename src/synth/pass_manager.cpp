@@ -382,12 +382,4 @@ void PassManager::clear_memo() {
   memo_table().clear();
 }
 
-std::uint64_t Pipeline::fingerprint() const {
-  return core::hash_combine(script.fingerprint(), options.fingerprint());
-}
-
-// default_pipeline / set_default_pipeline live in script_search.cpp now:
-// they are shims over the synth::OptRequest process default, kept in one
-// translation unit so the two views can never disagree.
-
 }  // namespace lsml::synth

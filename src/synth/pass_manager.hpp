@@ -53,7 +53,7 @@ struct SynthOptions {
   /// an appended approx pass when the script leaves the circuit over.
   std::uint32_t node_budget = 5000;
   /// Script repetitions: the script re-runs while it keeps shrinking the
-  /// circuit, up to this many times (the seed's optimize(max_rounds)).
+  /// circuit, up to this many times.
   int max_rounds = 3;
   /// Soft wall-clock budget: once exceeded, no further pass *starts*
   /// (running passes finish; guarantees are still enforced). 0 =
@@ -138,48 +138,6 @@ class PassManager {
 
  private:
   SynthOptions options_;
-};
-
-/// A pipeline: which script to run under which contract.
-///
-/// DEPRECATED as the process-wide default: synth::OptRequest (see
-/// synth/script_search.hpp) is the unified optimization request all
-/// drivers construct now, and learn::finish_model optimizes through the
-/// installed default_optimizer(). The functions below remain as shims —
-/// set_default_pipeline forwards to set_default_opt_request, and
-/// default_pipeline() mirrors the installed request (an "auto" request
-/// mirrors as an empty script named "auto"; its options stay
-/// authoritative) — so existing learners and tests work unmodified. See
-/// the README's "Script search" section for the removal plan.
-struct Pipeline {
-  Script script;
-  SynthOptions options;
-
-  [[nodiscard]] std::uint64_t fingerprint() const;
-};
-
-/// Initial default: preset "fast" under default SynthOptions (5000-AND
-/// budget, 3 rounds) — the seed's aig::optimize behavior plus the cap.
-/// DEPRECATED: read synth::default_opt_request() instead.
-[[nodiscard]] const Pipeline& default_pipeline();
-
-/// Replaces the process default and returns the previous value. Install
-/// before spawning contest workers; the default itself is not locked.
-/// DEPRECATED: call synth::set_default_opt_request instead.
-Pipeline set_default_pipeline(Pipeline pipeline);
-
-/// RAII default swap for drivers and tests (deprecated alongside the
-/// functions it wraps; prefer synth::ScopedOptRequest).
-class ScopedPipeline {
- public:
-  explicit ScopedPipeline(Pipeline pipeline)
-      : previous_(set_default_pipeline(std::move(pipeline))) {}
-  ~ScopedPipeline() { set_default_pipeline(std::move(previous_)); }
-  ScopedPipeline(const ScopedPipeline&) = delete;
-  ScopedPipeline& operator=(const ScopedPipeline&) = delete;
-
- private:
-  Pipeline previous_;
 };
 
 }  // namespace lsml::synth

@@ -205,7 +205,7 @@ Script Script::preset(const std::string& name) {
     return script;
   };
   if (name == "fast") {
-    // The seed's aig::optimize round: balance for depth, rewrite for size.
+    // One cheap round: balance for depth, rewrite for size.
     return build("c; b; rw");
   }
   if (name == "resyn2") {

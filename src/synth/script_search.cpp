@@ -168,13 +168,6 @@ std::uint64_t OptRequest::fingerprint() const {
   return core::hash_combine(h, options.fingerprint());
 }
 
-OptRequest OptRequest::from_pipeline(const Pipeline& pipeline) {
-  OptRequest request;
-  request.script = pipeline.script.str();
-  request.options = pipeline.options;
-  return request;
-}
-
 ScriptSearch::ScriptSearch(OptRequest request)
     : request_(std::move(request)), store_(request_.experience_dir) {
   if (!store_.enabled()) {
@@ -395,30 +388,11 @@ namespace {
 struct DefaultOpt {
   std::mutex mutex;
   std::shared_ptr<const ScriptSearch> optimizer;
-  /// Legacy view for default_pipeline() readers; kept in lockstep with
-  /// `optimizer` (an auto request mirrors as an empty script named
-  /// "auto" — its options are still authoritative).
-  Pipeline mirror{Script::preset("fast"), SynthOptions{}};
 };
 
 DefaultOpt& default_storage() {
   static DefaultOpt storage;
   return storage;
-}
-
-Pipeline mirror_of(const OptRequest& request) {
-  Pipeline pipeline;
-  pipeline.options = request.options;
-  if (request.is_auto()) {
-    pipeline.script = Script{"auto", {}};
-  } else {
-    try {
-      pipeline.script = request.resolved_script();
-    } catch (const std::invalid_argument&) {
-      pipeline.script = Script{"invalid", {}};
-    }
-  }
-  return pipeline;
 }
 
 std::shared_ptr<const ScriptSearch> ensure_optimizer_locked(DefaultOpt& d) {
@@ -450,32 +424,6 @@ OptRequest set_default_opt_request(OptRequest request) {
   OptRequest previous =
       d.optimizer != nullptr ? d.optimizer->request() : OptRequest{};
   d.optimizer = std::move(optimizer);
-  d.mirror = mirror_of(d.optimizer->request());
-  return previous;
-}
-
-// Deprecated Pipeline shim (declared in pass_manager.hpp): the storage now
-// lives here so the Pipeline view and the OptRequest default can never
-// disagree. Legacy writers keep working; readers of default_pipeline()
-// observe exactly what they installed.
-
-const Pipeline& default_pipeline() {
-  DefaultOpt& d = default_storage();
-  std::lock_guard<std::mutex> lock(d.mutex);
-  ensure_optimizer_locked(d);
-  return d.mirror;  // same install-before-workers contract as ever
-}
-
-Pipeline set_default_pipeline(Pipeline pipeline) {
-  auto optimizer =
-      std::make_shared<ScriptSearch>(OptRequest::from_pipeline(pipeline));
-  DefaultOpt& d = default_storage();
-  std::lock_guard<std::mutex> lock(d.mutex);
-  ensure_optimizer_locked(d);
-  Pipeline previous = std::move(d.mirror);
-  d.optimizer = std::move(optimizer);
-  // Keep the caller's exact Pipeline (preset names included) as the view.
-  d.mirror = std::move(pipeline);
   return previous;
 }
 

@@ -74,10 +74,6 @@ struct OptRequest {
   /// Participates in on-disk cache keys (suite::ResultCache), so recipe
   /// changes require bumping suite::kResultCacheSchemaVersion.
   [[nodiscard]] std::uint64_t fingerprint() const;
-
-  /// Shim for synth::Pipeline holders: same options, script = the
-  /// pipeline's canonical text.
-  static OptRequest from_pipeline(const Pipeline& pipeline);
 };
 
 /// What an optimization request produced: the pass-manager result plus
@@ -137,11 +133,9 @@ class ScriptSearch {
 };
 
 // ------------------------------------------------- process default plumbing
-// The OptRequest successor of the deprecated synth::Pipeline global (see
-// pass_manager.hpp): learn::finish_model and the contest engines read the
-// installed optimizer; drivers install theirs before spawning workers.
-// set_default_pipeline remains as a shim that forwards here, so existing
-// learners and tests keep working unmodified.
+// The one process-wide default optimizer: learn::finish_model and the
+// contest driver read the installed optimizer; drivers install theirs
+// before spawning workers.
 
 /// Copy of the installed default request.
 [[nodiscard]] OptRequest default_opt_request();

@@ -90,6 +90,61 @@ TEST(AigIo, RejectsLatches) {
   EXPECT_THROW(read_aag(is), std::runtime_error);
 }
 
+// Malformed bodies must surface as std::runtime_error, never as an
+// out-of-bounds read (these cases run under ASan in the sanitizer jobs).
+void expect_rejected(const std::string& text) {
+  std::istringstream is(text);
+  EXPECT_THROW(read_aag(is), std::runtime_error) << text;
+}
+
+TEST(AigIo, RejectsOutputVariableBeyondM) {
+  expect_rejected("aag 1 1 0 1 0\n2\n99999\n");
+}
+
+TEST(AigIo, RejectsInputVariableBeyondM) {
+  expect_rejected("aag 1 1 0 1 0\n8\n2\n");
+}
+
+TEST(AigIo, RejectsAndVariableBeyondM) {
+  expect_rejected("aag 2 1 0 1 1\n2\n4\n8 2 2\n");
+}
+
+TEST(AigIo, RejectsFaninVariableBeyondM) {
+  expect_rejected("aag 3 2 0 1 1\n2\n4\n6\n6 8 4\n");
+}
+
+TEST(AigIo, RejectsMBeyondTheLiteralRange) {
+  expect_rejected("aag 4294967295 0 0 0 4294967295\n2 0 0\n");
+}
+
+TEST(AigIo, RejectsInputVariableZero) {
+  expect_rejected("aag 1 1 0 1 0\n0\n2\n");
+}
+
+TEST(AigIo, RejectsDuplicateInput) {
+  expect_rejected("aag 2 2 0 1 0\n2\n2\n2\n");
+}
+
+TEST(AigIo, RejectsAndRedefiningAnInput) {
+  expect_rejected("aag 2 1 0 1 1\n2\n2\n2 2 2\n");
+}
+
+TEST(AigIo, RejectsAndRedefiningAnEarlierAnd) {
+  expect_rejected("aag 3 1 0 1 2\n2\n4\n4 2 2\n4 3 3\n");
+}
+
+TEST(AigIo, RejectsFaninDefinedLater) {
+  expect_rejected("aag 3 1 0 1 2\n2\n6\n4 6 2\n6 2 3\n");
+}
+
+TEST(AigIo, AcceptsAndsInAnyDefinitionOrder) {
+  // var 3 = x & !x is defined first, then var 2 uses it: legal.
+  std::istringstream is("aag 3 1 0 1 2\n2\n5\n6 2 3\n4 6 2\n");
+  const Aig parsed = read_aag(is);
+  EXPECT_TRUE(parsed.eval_row({0})[0]);
+  EXPECT_TRUE(parsed.eval_row({1})[0]);
+}
+
 TEST(AigIo, ConstantOutputs) {
   Aig g(1);
   g.add_output(kLitTrue);

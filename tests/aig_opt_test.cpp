@@ -1,5 +1,5 @@
 // Optimization passes: functional equivalence (the non-negotiable), size
-// never grows through optimize(), and balance reduces depth of chains.
+// never grows through the `fast` preset, and balance reduces depth of chains.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include "aig/aig_opt.hpp"
 #include "aig/aig_random.hpp"
 #include "core/rng.hpp"
+#include "synth/pass_manager.hpp"
 
 namespace lsml::aig {
 namespace {
@@ -22,6 +23,16 @@ bool equivalent_by_simulation(const Aig& a, const Aig& b, std::size_t rows,
   const auto sa = a.simulate(ptrs);
   const auto sb = b.simulate(ptrs);
   return sa[0].count_equal(sb[0]) == rows;
+}
+
+/// Uncapped `fast` preset: what every learner's circuit goes through,
+/// minus the budget's approximation.
+Aig optimize_fast(const Aig& in) {
+  synth::SynthOptions options;
+  options.node_budget = 0;
+  return synth::PassManager(options)
+      .run(in, synth::Script::preset("fast"))
+      .circuit;
 }
 
 TEST(Balance, ReducesChainDepth) {
@@ -79,7 +90,7 @@ TEST_P(OptEquivalence, OptimizeNeverGrowsAndPreserves) {
   options.num_inputs = 12;
   options.num_ands = 250;
   const Aig g = random_cone(options, rng);
-  const Aig opt = optimize(g);
+  const Aig opt = optimize_fast(g);
   EXPECT_LE(opt.num_ands(), g.cleanup().num_ands());
   core::Rng check(GetParam());
   EXPECT_TRUE(equivalent_by_simulation(g, opt, 2048, check));
@@ -94,7 +105,7 @@ TEST(Rewrite, ShrinksRedundantStructure) {
   const Lit t1 = g.and2(ab, g.pi(2));
   const Lit t2 = g.and2(ab, lit_not(g.pi(2)));
   g.add_output(g.or2(t1, t2));
-  const Aig opt = optimize(g);
+  const Aig opt = optimize_fast(g);
   EXPECT_LE(opt.num_ands(), 1u);
   core::Rng rng(5);
   EXPECT_TRUE(equivalent_by_simulation(g, opt, 256, rng));
@@ -108,7 +119,7 @@ TEST(Optimize, MuxTreeOfConstantsCollapses) {
   const Lit m0 = g.mux(g.pi(0), leaf1, leaf0);
   const Lit m1 = g.mux(g.pi(1), m0, m0);  // redundant select
   g.add_output(m1);
-  const Aig opt = optimize(g);
+  const Aig opt = optimize_fast(g);
   EXPECT_LE(opt.num_ands(), g.cleanup().num_ands());
   core::Rng rng(8);
   EXPECT_TRUE(equivalent_by_simulation(g, opt, 64, rng));

@@ -1,9 +1,15 @@
-// Contest analytics tests: aggregates, Pareto, win rates, leaderboard.
+// Contest tests: the in-memory driver (cache and artifacts off), its
+// golden pin, and the analytics (aggregates, Pareto, win rates, leaderboard).
 
 #include <gtest/gtest.h>
 
-#include "learn/dt.hpp"
+#include <stdexcept>
+#include <string>
+
+#include "core/bits.hpp"
+#include "learn/factory.hpp"
 #include "portfolio/contest.hpp"
+#include "suite/runner.hpp"
 
 namespace lsml::portfolio {
 namespace {
@@ -34,12 +40,57 @@ std::vector<oracle::Benchmark> tiny_suite() {
   return suite;
 }
 
-TEST(Contest, RunSuiteProducesPerBenchmarkResults) {
+/// The in-memory contest: the one driver with cache and artifacts off.
+std::vector<TeamRun> run_in_memory(const std::vector<ContestEntry>& entries,
+                                   const std::vector<oracle::Benchmark>& suite,
+                                   std::uint64_t seed, int threads) {
+  suite::RunnerOptions options;
+  options.cache_dir.clear();
+  options.write_artifacts = false;
+  options.seed = seed;
+  options.num_threads = threads;
+  return suite::run_contest_on(entries, suite, options).runs;
+}
+
+/// A registry learner filed under its own entry key, so one learner can
+/// enter the same contest twice.
+learn::LearnerFactory renamed(const std::string& key, const char* learner) {
+  const learn::LearnerFactory inner =
+      learn::LearnerFactory::from_registry(learner);
+  return learn::LearnerFactory(key, [inner] { return inner.make(); });
+}
+
+/// fnv1a over every field an artifact row is made of: benchmark, method,
+/// the three accuracies' bits, size, depth, and the optimization script.
+std::uint64_t results_digest(const std::vector<TeamRun>& runs) {
+  std::string blob;
+  const auto put = [&blob](const auto& v) {
+    blob.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const auto& run : runs) {
+    for (const auto& r : run.results) {
+      blob += r.benchmark;
+      blob += '\0';
+      blob += r.method;
+      blob += '\0';
+      put(r.train_acc);
+      put(r.valid_acc);
+      put(r.test_acc);
+      put(r.num_ands);
+      put(r.num_levels);
+      blob += r.opt_script;
+      blob += '\0';
+    }
+  }
+  return core::fnv1a(blob.data(), blob.size());
+}
+
+TEST(Contest, RunProducesPerBenchmarkResults) {
   const auto suite = tiny_suite();
-  learn::DtOptions dt;
-  dt.max_depth = 8;
-  learn::DtLearner learner(dt, "dt8");
-  const TeamRun run = run_suite(learner, 42, suite, 1);
+  const auto runs = run_in_memory(
+      {{42, learn::LearnerFactory::from_registry("dt8")}}, suite, 1, 1);
+  ASSERT_EQ(runs.size(), 1u);
+  const TeamRun& run = runs.front();
   EXPECT_EQ(run.team, 42);
   ASSERT_EQ(run.results.size(), 2u);
   EXPECT_EQ(run.results[0].benchmark, "ex30");
@@ -50,16 +101,10 @@ TEST(Contest, RunSuiteProducesPerBenchmarkResults) {
 
 TEST(Contest, SerialAndParallelRunsAreBitIdentical) {
   const auto suite = tiny_suite();
-  const auto factory = learn::LearnerFactory::from_registry("dt8");
-
-  learn::DtOptions dt;
-  dt.max_depth = 8;
-  learn::DtLearner learner(dt, "dt8");
-  const TeamRun serial = run_suite(learner, 42, suite, 1);
-
-  ContestOptions parallel;
-  parallel.num_threads = 8;
-  const TeamRun threaded = run_suite(factory, 42, suite, 1, parallel);
+  const std::vector<ContestEntry> entries = {
+      {42, learn::LearnerFactory::from_registry("dt8")}};
+  const TeamRun serial = run_in_memory(entries, suite, 1, 1).front();
+  const TeamRun threaded = run_in_memory(entries, suite, 1, 8).front();
 
   ASSERT_EQ(serial.results.size(), threaded.results.size());
   for (std::size_t i = 0; i < serial.results.size(); ++i) {
@@ -75,27 +120,22 @@ TEST(Contest, SerialAndParallelRunsAreBitIdentical) {
   }
 }
 
-TEST(Contest, RunContestMatchesPerTeamSerialRuns) {
+TEST(Contest, EveryTaskMatchesItsStandaloneEvaluation) {
   const auto suite = tiny_suite();
   const auto factory = learn::LearnerFactory::from_registry("dt8");
-
-  ContestOptions options;
-  options.num_threads = 4;
-  ContestStats stats;
-  const auto runs = run_contest({{1, factory}, {2, factory}}, suite, 7,
-                                options, &stats);
+  const auto runs = run_in_memory(
+      {{1, renamed("dt8-a", "dt8")}, {2, renamed("dt8-b", "dt8")}}, suite, 7,
+      4);
   ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(stats.tasks_completed, 4);
-  EXPECT_GT(stats.elapsed_ms, 0.0);
-  EXPECT_FALSE(stats.budget_exceeded);
 
   for (const auto& run : runs) {
-    auto learner = factory.make();
-    const TeamRun serial = run_suite(*learner, run.team, suite, 7);
-    ASSERT_EQ(serial.results.size(), run.results.size());
-    for (std::size_t i = 0; i < serial.results.size(); ++i) {
-      EXPECT_EQ(serial.results[i].test_acc, run.results[i].test_acc);
-      EXPECT_EQ(serial.results[i].num_ands, run.results[i].num_ands);
+    ASSERT_EQ(run.results.size(), suite.size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      auto learner = factory.make();
+      core::Rng rng = contest_rng(7, run.team, suite[i].id);
+      const BenchmarkResult alone = evaluate_on(*learner, suite[i], rng);
+      EXPECT_EQ(alone.test_acc, run.results[i].test_acc);
+      EXPECT_EQ(alone.num_ands, run.results[i].num_ands);
     }
   }
   // Both teams cover the same suite in the same order...
@@ -106,24 +146,27 @@ TEST(Contest, RunContestMatchesPerTeamSerialRuns) {
             root.split(2, suite[0].id).next());
 }
 
-TEST(Contest, TimeBudgetIsReportedConsistently) {
+TEST(Contest, DuplicateEntryKeysAreRejectedEvenInMemory) {
   const auto suite = tiny_suite();
   const auto factory = learn::LearnerFactory::from_registry("dt8");
-  ContestOptions options;
-  options.num_threads = 2;
-  options.time_budget_ms = 1;  // tight enough that real runs usually blow it
-  ContestStats stats;
-  const auto runs = run_suite(factory, 3, suite, 1, options, &stats);
-  EXPECT_EQ(runs.results.size(), suite.size()) << "all tasks still run";
-  // The flag is defined by the contract, not by how fast this machine is.
-  EXPECT_EQ(stats.budget_exceeded,
-            stats.elapsed_ms > static_cast<double>(options.time_budget_ms));
+  EXPECT_THROW(run_in_memory({{1, factory}, {2, factory}}, suite, 7, 1),
+               std::invalid_argument);
+}
 
-  ContestOptions unlimited;
-  unlimited.num_threads = 2;
-  ContestStats unlimited_stats;
-  run_suite(factory, 3, suite, 1, unlimited, &unlimited_stats);
-  EXPECT_FALSE(unlimited_stats.budget_exceeded) << "0 means no budget";
+// Pins the results of the historical in-memory driver: the digest was
+// recorded from it before it was folded into suite::run_contest_on, so any
+// later change to what a contest task computes shows up here.
+TEST(Contest, GoldenDigestHoldsAtOneAndFourThreads) {
+  constexpr std::uint64_t kGolden = 0xed2d9b27070776f4ULL;
+  const auto suite = tiny_suite();
+  const std::vector<ContestEntry> entries = {
+      {1, learn::LearnerFactory::from_registry("dt")},
+      {2, learn::LearnerFactory::from_registry("dt8")}};
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(results_digest(run_in_memory(entries, suite, 7, threads)),
+              kGolden)
+        << threads << " thread(s)";
+  }
 }
 
 TEST(Contest, OverfitIsValidMinusTest) {

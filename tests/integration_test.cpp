@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
+#include <string>
 
 #include "aig/aig_io.hpp"
 #include "learn/dt.hpp"
@@ -12,9 +14,31 @@
 #include "pla/pla.hpp"
 #include "portfolio/contest.hpp"
 #include "portfolio/team.hpp"
+#include "suite/runner.hpp"
 
 namespace lsml {
 namespace {
+
+/// The in-memory contest: the one driver with cache and artifacts off.
+std::vector<portfolio::TeamRun> run_in_memory(
+    const std::vector<portfolio::ContestEntry>& entries,
+    const std::vector<oracle::Benchmark>& benchmarks, std::uint64_t seed) {
+  suite::RunnerOptions options;
+  options.cache_dir.clear();
+  options.write_artifacts = false;
+  options.seed = seed;
+  options.num_threads = 1;
+  return suite::run_contest_on(entries, benchmarks, options).runs;
+}
+
+/// A depth-capped decision tree entered under its own name.
+learn::LearnerFactory dt_factory(const std::string& name, int max_depth) {
+  return learn::LearnerFactory(name, [name, max_depth] {
+    learn::DtOptions dt;
+    dt.max_depth = max_depth;
+    return std::make_unique<learn::DtLearner>(dt, name);
+  });
+}
 
 TEST(Integration, ContestDataPathThroughPlaFiles) {
   // Generate a benchmark, write train/valid as PLA (as the contest did),
@@ -72,11 +96,8 @@ TEST(Integration, MiniContestProducesSensibleLeaderboard) {
   portfolio::TeamOptions team_options;
   team_options.scale = core::Scale::kSmoke;
 
-  std::vector<portfolio::TeamRun> runs;
-  for (const int t : {10, 7}) {
-    const auto team = portfolio::make_team(t, team_options);
-    runs.push_back(portfolio::run_suite(*team, t, suite, 7));
-  }
+  const std::vector<portfolio::TeamRun> runs = run_in_memory(
+      portfolio::contest_entries({10, 7}, team_options), suite, 7);
   for (const auto& run : runs) {
     EXPECT_GT(run.avg_test_acc(), 0.55);
     for (const auto& r : run.results) {
@@ -103,15 +124,8 @@ TEST(Integration, VirtualBestParetoShapesLikeFig2) {
   suite.push_back(oracle::make_benchmark(31, options));
   suite.push_back(oracle::make_benchmark(76, options));
 
-  learn::DtOptions shallow;
-  shallow.max_depth = 3;
-  learn::DtLearner small(shallow, "dt3");
-  learn::DtOptions deep;
-  deep.max_depth = 12;
-  learn::DtLearner large(deep, "dt12");
-  std::vector<portfolio::TeamRun> runs;
-  runs.push_back(portfolio::run_suite(small, 1, suite, 3));
-  runs.push_back(portfolio::run_suite(large, 2, suite, 3));
+  const std::vector<portfolio::TeamRun> runs = run_in_memory(
+      {{1, dt_factory("dt3", 3)}, {2, dt_factory("dt12", 12)}}, suite, 3);
 
   const auto pareto = portfolio::virtual_best_pareto(
       runs, {10.0, 100.0, 1000.0, 5000.0});

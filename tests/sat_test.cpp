@@ -21,6 +21,7 @@
 #include "suite/result_cache.hpp"
 #include "synth/pass_manager.hpp"
 #include "synth/script.hpp"
+#include "synth/script_search.hpp"
 
 namespace lsml {
 namespace {
@@ -489,9 +490,9 @@ TEST(Portfolio, TeamApproxFallbackNeverReportsExact) {
   }
   train.labels().randomize(rng);
 
-  synth::Pipeline verified = synth::default_pipeline();
+  synth::OptRequest verified = synth::default_opt_request();
   verified.options.verify_equivalence = true;
-  const synth::ScopedPipeline scoped(verified);
+  const synth::ScopedOptRequest scoped(verified);
 
   for (const std::uint32_t budget : {5u, 0u}) {
     learn::TrainedModel candidate;

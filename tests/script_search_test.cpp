@@ -358,7 +358,7 @@ TEST(ScriptSearch, AutoCertifiesOnlyTheWinnerUnderVerify) {
 
 // ------------------------------------------------- process default plumbing
 
-TEST(DefaultOptRequest, ScopedInstallAndPipelineShimAgree) {
+TEST(DefaultOptRequest, ScopedInstallRestoresThePreviousDefault) {
   const OptRequest baseline = default_opt_request();
   {
     OptRequest automatic;
@@ -368,20 +368,18 @@ TEST(DefaultOptRequest, ScopedInstallAndPipelineShimAgree) {
     EXPECT_TRUE(default_opt_request().is_auto());
     EXPECT_EQ(default_opt_request().search_budget, 6);
     EXPECT_EQ(default_optimizer()->request().script, kAutoScript);
-    // The deprecated Pipeline view mirrors the install.
-    EXPECT_EQ(default_pipeline().script.name, "auto");
   }
   EXPECT_EQ(default_opt_request().fingerprint(), baseline.fingerprint());
 
-  // The legacy writer keeps working and round-trips through the shim.
-  Pipeline legacy;
-  legacy.script = Script::preset("resyn2");
-  legacy.options.node_budget = 777;
+  OptRequest resyn2;
+  resyn2.script = "resyn2";
+  resyn2.options.node_budget = 777;
   {
-    const ScopedPipeline scoped(legacy);
-    EXPECT_EQ(default_pipeline().script.str(), legacy.script.str());
+    const ScopedOptRequest scoped(resyn2);
+    EXPECT_EQ(default_opt_request().script_display(),
+              Script::preset("resyn2").str());
     EXPECT_EQ(default_opt_request().options.node_budget, 777u);
-    EXPECT_EQ(default_optimizer()->request().script, legacy.script.str());
+    EXPECT_EQ(default_optimizer()->request().script, "resyn2");
   }
   EXPECT_EQ(default_opt_request().fingerprint(), baseline.fingerprint());
 }

@@ -375,21 +375,23 @@ TEST_F(SuiteRunner, HonorsTheSoftTimeBudget) {
   RunnerOptions options;
   options.cache_dir.clear();
   options.write_artifacts = false;
-  options.num_threads = 1;
-  options.time_budget_ms = 1;  // tight enough that real runs usually blow it
-  const RunnerReport report = run_suite_dir(suite_dir, entries(), options);
-  ASSERT_EQ(report.runs.size(), 2u);
-  EXPECT_EQ(report.runs[0].results.size(), 1u) << "all tasks still run";
-  // Same contract as portfolio::run_contest: defined by elapsed vs budget,
-  // not by how fast this machine happens to be.
-  EXPECT_EQ(report.stats.budget_exceeded,
-            report.stats.elapsed_ms >
-                static_cast<double>(options.time_budget_ms));
-  EXPECT_EQ(report.stats.tasks_completed, 2);
+  for (const int threads : {1, 2}) {
+    options.num_threads = threads;
+    options.time_budget_ms = 1;  // tight enough that real runs usually blow it
+    const RunnerReport report = run_suite_dir(suite_dir, entries(), options);
+    ASSERT_EQ(report.runs.size(), 2u);
+    EXPECT_EQ(report.runs[0].results.size(), 1u) << "all tasks still run";
+    EXPECT_EQ(report.cache_hits + report.cache_misses, 2);
+    // The flag is defined by elapsed vs budget, not by how fast this
+    // machine happens to be.
+    EXPECT_EQ(report.budget_exceeded,
+              report.elapsed_ms > static_cast<double>(options.time_budget_ms))
+        << threads << " thread(s)";
 
-  options.time_budget_ms = 0;
-  const RunnerReport unlimited = run_suite_dir(suite_dir, entries(), options);
-  EXPECT_FALSE(unlimited.stats.budget_exceeded) << "0 means no budget";
+    options.time_budget_ms = 0;
+    const RunnerReport unlimited = run_suite_dir(suite_dir, entries(), options);
+    EXPECT_FALSE(unlimited.budget_exceeded) << "0 means no budget";
+  }
 }
 
 TEST_F(SuiteRunner, RerunDropsStaleArtifacts) {

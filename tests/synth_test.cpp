@@ -13,6 +13,7 @@
 #include "portfolio/contest.hpp"
 #include "synth/pass_manager.hpp"
 #include "synth/script.hpp"
+#include "synth/script_search.hpp"
 
 namespace lsml::synth {
 namespace {
@@ -200,7 +201,7 @@ TEST(PassManager, MemoDeduplicatesStructurallyIdenticalCircuits) {
   EXPECT_EQ(PassManager::runs_executed(), 2u);
 }
 
-TEST(PassManager, EachContestTaskRunsThePipelineExactlyOnce) {
+TEST(PassManager, EachContestTaskOptimizesExactlyOnce) {
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 120;
   const oracle::Benchmark bench = oracle::make_benchmark(30, suite_options);
@@ -215,7 +216,7 @@ TEST(PassManager, EachContestTaskRunsThePipelineExactlyOnce) {
       << "one task, one pipeline invocation (got "
       << PassManager::runs_executed() << ")";
   EXPECT_FALSE(result.synth_trace.empty());
-  EXPECT_LE(result.num_ands, default_pipeline().options.node_budget);
+  EXPECT_LE(result.num_ands, default_opt_request().options.node_budget);
   EXPECT_EQ(result.synth_ands_in(), result.synth_trace.front().ands_before);
   PassManager::clear_memo();
 }
@@ -245,9 +246,9 @@ class RogueLearner final : public learn::Learner {
 }  // namespace
 
 TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
-  Pipeline small = default_pipeline();
+  OptRequest small = default_opt_request();
   small.options.node_budget = 100;
-  const ScopedPipeline scoped(small);
+  const ScopedOptRequest scoped(small);
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
@@ -261,20 +262,6 @@ TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
   EXPECT_LE(circuit.num_ands(), 100u);
   EXPECT_NE(result.method.find("+budget"), std::string::npos);
   EXPECT_FALSE(result.synth_trace.empty());
-}
-
-TEST(ContestStats, BothDriversFlagTheSoftBudgetConsistently) {
-  const double elapsed = 12.5;
-  portfolio::ContestStats a;
-  portfolio::ContestStats b;
-  EXPECT_TRUE(portfolio::finalize_contest_stats(elapsed, 4, 1, 0, &a));
-  EXPECT_FALSE(portfolio::finalize_contest_stats(elapsed, 4, 0, 0, &b));
-  EXPECT_TRUE(a.budget_exceeded);
-  EXPECT_EQ(a.tasks_completed, 4);
-  EXPECT_EQ(a.elapsed_ms, elapsed);
-  EXPECT_FALSE(b.budget_exceeded) << "0 means unlimited";
-  EXPECT_FALSE(
-      portfolio::finalize_contest_stats(12.5, 4, 13, 0, nullptr));
 }
 
 }  // namespace
