@@ -294,13 +294,18 @@ Aig Aig::cleanup() const {
   for (Lit out : outputs_) {
     used[lit_var(out)] = 1;
   }
+  std::uint32_t used_ands = 0;
   for (std::uint32_t v = num_nodes() - 1; v > num_pis_; --v) {
     if (used[v]) {
+      ++used_ands;
       used[lit_var(fanin0_[v])] = 1;
       used[lit_var(fanin1_[v])] = 1;
     }
   }
   Aig result(num_pis_, mode_);
+  // Node numbering never depends on the bucket count, so presizing the
+  // unique table only skips its repeated doubling.
+  result.reserve(used_ands);
   std::vector<Lit> map(num_nodes(), kLitFalse);
   for (std::uint32_t i = 0; i < num_pis_; ++i) {
     map[i + 1] = result.pi(i);

@@ -9,6 +9,7 @@ namespace lsml::aig {
 
 Aig replace_with_constant(const Aig& in, std::uint32_t var, bool value) {
   Aig out(in.num_pis());
+  out.reserve(in.num_ands());  // skips the unique table's repeated doubling
   std::vector<Lit> map(in.num_nodes(), kLitFalse);
   for (std::uint32_t i = 0; i < in.num_pis(); ++i) {
     map[i + 1] = out.pi(i);

@@ -227,6 +227,17 @@ Lit from_cover(Aig& g, const std::vector<tt::SmallCube>& cubes,
   return or_tree(g, std::move(terms));
 }
 
+ChosenCover choose_cover(const tt::TruthTable& f) {
+  ChosenCover pos{tt::isop(f), false, 0};
+  ChosenCover neg{tt::isop(~f), true, 0};
+  pos.cost = tt::sop_gate_cost(pos.cubes);
+  neg.cost = tt::sop_gate_cost(neg.cubes);
+  if (neg.cost < pos.cost) {
+    return neg;
+  }
+  return pos;
+}
+
 Lit from_truth_table(Aig& g, const tt::TruthTable& f,
                      const std::vector<Lit>& leaves) {
   assert(static_cast<std::size_t>(f.num_vars()) == leaves.size());
@@ -236,12 +247,8 @@ Lit from_truth_table(Aig& g, const tt::TruthTable& f,
   if (f.is_const1()) {
     return kLitTrue;
   }
-  const auto cover_pos = tt::isop(f);
-  const auto cover_neg = tt::isop(~f);
-  if (tt::sop_gate_cost(cover_neg) < tt::sop_gate_cost(cover_pos)) {
-    return lit_not(from_cover(g, cover_neg, leaves));
-  }
-  return from_cover(g, cover_pos, leaves);
+  const ChosenCover cover = choose_cover(f);
+  return lit_notc(from_cover(g, cover.cubes, leaves), cover.complemented);
 }
 
 }  // namespace lsml::aig

@@ -57,8 +57,17 @@ Lit symmetric_function(Aig& g, const std::vector<Lit>& lits,
 std::vector<Lit> multiplier(Aig& g, const std::vector<Lit>& a,
                             const std::vector<Lit>& b);
 
+/// The two-level cover from_truth_table builds for a function: the ISOP of
+/// f or of ~f, whichever has the lower sop_gate_cost (f on a tie).
+struct ChosenCover {
+  std::vector<tt::SmallCube> cubes;
+  bool complemented = false;  ///< cubes cover ~f; the built literal is negated
+  int cost = 0;               ///< sop_gate_cost(cubes)
+};
+ChosenCover choose_cover(const tt::TruthTable& f);
+
 /// Builds a truth table (<= 16 vars) over the given leaf literals via ISOP,
-/// choosing the cheaper of covering f or ~f.
+/// choosing the cheaper of covering f or ~f (choose_cover).
 Lit from_truth_table(Aig& g, const tt::TruthTable& f,
                      const std::vector<Lit>& leaves);
 

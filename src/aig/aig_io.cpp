@@ -1,8 +1,10 @@
 #include "aig/aig_io.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace lsml::aig {
@@ -59,6 +61,19 @@ Aig read_aag(std::istream& is) {
   if (m > lit_var(~Lit{0})) {
     throw std::runtime_error("read_aag: M exceeds the literal range");
   }
+  // Every literal takes at least one digit and one separator: a header
+  // that promises more literals than the remaining text can hold is
+  // rejected before anything below is sized from it.
+  std::string body{std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>()};
+  const std::uint64_t literals =
+      std::uint64_t{i} + o + 3 * std::uint64_t{a};
+  if (literals > 0 && 2 * literals - 1 > body.size()) {
+    throw std::runtime_error("read_aag: header promises " +
+                             std::to_string(literals) +
+                             " literals but the body is too short");
+  }
+  std::istringstream rest(std::move(body));
   // Every literal is checked against M before it indexes anything.
   const auto var_of = [m](Lit lit, const char* what) {
     if (lit_var(lit) > m) {
@@ -71,7 +86,7 @@ Aig read_aag(std::istream& is) {
   std::vector<Lit> pi_lits(i);
   for (std::uint32_t k = 0; k < i; ++k) {
     Lit lit = 0;
-    if (!(is >> lit) || lit_compl(lit)) {
+    if (!(rest >> lit) || lit_compl(lit)) {
       throw std::runtime_error("read_aag: bad input literal");
     }
     var_of(lit, "input");
@@ -79,7 +94,7 @@ Aig read_aag(std::istream& is) {
   }
   std::vector<Lit> out_lits(o);
   for (auto& lit : out_lits) {
-    if (!(is >> lit)) {
+    if (!(rest >> lit)) {
       throw std::runtime_error("read_aag: bad output literal");
     }
     var_of(lit, "output");
@@ -103,7 +118,7 @@ Aig read_aag(std::istream& is) {
     Lit lhs = 0;
     Lit rhs0 = 0;
     Lit rhs1 = 0;
-    if (!(is >> lhs >> rhs0 >> rhs1) || lit_compl(lhs)) {
+    if (!(rest >> lhs >> rhs0 >> rhs1) || lit_compl(lhs)) {
       throw std::runtime_error("read_aag: bad and line");
     }
     const std::uint32_t v = var_of(lhs, "and");

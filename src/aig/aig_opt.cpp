@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "aig/aig_build.hpp"
-#include "tt/isop.hpp"
+#include "obs/registry.hpp"
 
 namespace lsml::aig {
 
@@ -102,8 +105,10 @@ class Balancer {
 /// Largest cut the rewriter handles: 6 leaves fit a 64-bit truth table.
 constexpr int kMaxCutSize = 6;
 
-/// Projection of leaf 0, padded to kMaxCutSize variables.
-constexpr std::uint64_t kLeaf0Projection = 0xaaaaaaaaaaaaaaaaULL;
+/// Truth table of variable v over kMaxCutSize variables.
+constexpr std::array<std::uint64_t, kMaxCutSize> kVarTables = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL};
 
 struct Cut {
   std::array<std::uint32_t, kMaxCutSize> leaves{};  // sorted variable ids
@@ -115,26 +120,16 @@ struct Cut {
   }
 };
 
-// Expands a truth table over `cut` leaves to one over `merged` leaves.
-std::uint64_t expand_tt(std::uint64_t tt, const Cut& cut, const Cut& merged) {
-  std::uint64_t result = 0;
-  for (int m = 0; m < (1 << merged.num_leaves); ++m) {
-    int sub = 0;
-    for (int i = 0; i < cut.num_leaves; ++i) {
-      // Position of cut leaf i inside merged leaves.
-      int pos = 0;
-      while (merged.leaves[pos] != cut.leaves[i]) {
-        ++pos;
-      }
-      if (m & (1 << pos)) {
-        sub |= 1 << i;
-      }
-    }
-    if (tt & (1ULL << sub)) {
-      result |= 1ULL << m;
-    }
-  }
-  return result;
+/// Exchanges variables i < j of a 64-bit truth table.
+std::uint64_t swap_vars(std::uint64_t tt, int i, int j) {
+  const int shift = (1 << j) - (1 << i);
+  const std::uint64_t up = kVarTables[i] & ~kVarTables[j];  // x_i=1, x_j=0
+  const std::uint64_t down = up << shift;                   // x_i=0, x_j=1
+  return (tt & ~(up | down)) | ((tt & up) << shift) | ((tt & down) >> shift);
+}
+
+std::span<const std::uint32_t> leaves_of(const Cut& cut) {
+  return {cut.leaves.data(), static_cast<std::size_t>(cut.num_leaves)};
 }
 
 bool merge_cuts(const Cut& a, const Cut& b, int max_size, Cut* out) {
@@ -160,17 +155,74 @@ bool merge_cuts(const Cut& a, const Cut& b, int max_size, Cut* out) {
   return true;
 }
 
+/// Exact memo key of a cut function: its table is replicated to 64 bits
+/// (mask_tt), so equal keys mean equal functions over equally many leaves.
+struct CutKey {
+  std::uint64_t tt = 0;
+  int num_leaves = 0;
+
+  bool operator==(const CutKey&) const = default;
+};
+
+struct CutKeyHash {
+  std::size_t operator()(const CutKey& k) const {
+    std::uint64_t z = k.tt ^ (static_cast<std::uint64_t>(k.num_leaves) << 61);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(z ^ (z >> 31));
+  }
+};
+
+/// Entries one thread's memo holds at most. Long-lived threads (serve's
+/// pool) would otherwise grow it without bound; past the cap results are
+/// computed and not remembered.
+constexpr std::size_t kCutMemoMaxEntries = std::size_t{1} << 16;
+
+/// Bumped by clear_rewrite_memo(); a thread whose table is older drops it.
+std::atomic<std::uint64_t> g_cut_memo_epoch{0};
+
+using CutMemo = std::unordered_map<CutKey, ChosenCover, CutKeyHash>;
+
+/// This thread's memo, emptied first when clear_rewrite_memo() ran since
+/// the thread last looked.
+CutMemo& thread_cut_memo() {
+  thread_local CutMemo memo;
+  thread_local std::uint64_t epoch = 0;
+  const std::uint64_t now = g_cut_memo_epoch.load(std::memory_order_relaxed);
+  if (epoch != now) {
+    memo = CutMemo();
+    epoch = now;
+  }
+  return memo;
+}
+
+obs::Counter& cut_memo_hits_counter() {
+  static obs::Counter& c =
+      obs::Registry::instance().counter("lsml_synth_cut_memo_hits_total");
+  return c;
+}
+
+obs::Counter& cut_memo_misses_counter() {
+  static obs::Counter& c =
+      obs::Registry::instance().counter("lsml_synth_cut_memo_misses_total");
+  return c;
+}
+
 class Rewriter {
  public:
   Rewriter(const Aig& in, int cut_size, int cuts_per_node)
       : in_(in), cut_size_(std::clamp(cut_size, 2, kMaxCutSize)),
         cuts_per_node_(std::max(cuts_per_node, 1)),
-        refs_(in.fanout_counts()) {}
+        refs_(in.fanout_counts()), memo_(thread_cut_memo()) {}
 
   Aig run() {
     enumerate_cuts();
     choose_rewrites();
-    return rebuild();
+    Aig out = rebuild();
+    // Counted locally and published once, so the cut loop does no atomics.
+    cut_memo_hits_counter().add(hits_);
+    cut_memo_misses_counter().add(misses_);
+    return out;
   }
 
  private:
@@ -180,7 +232,7 @@ class Rewriter {
       Cut trivial;
       trivial.num_leaves = 1;
       trivial.leaves[0] = v;
-      trivial.tt = kLeaf0Projection;
+      trivial.tt = kVarTables[0];
       if (!in_.is_and(v)) {
         cuts_[v] = {trivial};
         continue;
@@ -193,8 +245,9 @@ class Rewriter {
           if (!merge_cuts(ca, cb, cut_size_, &merged)) {
             continue;
           }
-          std::uint64_t ta = expand_tt(ca.tt, ca, merged);
-          std::uint64_t tb = expand_tt(cb.tt, cb, merged);
+          const auto leaves = leaves_of(merged);
+          std::uint64_t ta = expand_tt(ca.tt, leaves_of(ca), leaves);
+          std::uint64_t tb = expand_tt(cb.tt, leaves_of(cb), leaves);
           if (lit_compl(n.fanin0)) {
             ta = ~ta;
           }
@@ -223,7 +276,9 @@ class Rewriter {
       return tt;
     }
     const int bits = 1 << vars;
-    // Replicate the low 2^vars bits to fill 64 (keeps expand_tt simple).
+    // Replicate the low 2^vars bits to fill 64: the table then does not
+    // depend on the unused variables, which expand_tt swaps leaves into,
+    // and the memo key (num_leaves, tt) is exact.
     std::uint64_t out = tt & ((1ULL << bits) - 1);
     for (int b = bits; b < 64; b <<= 1) {
       out |= out << b;
@@ -276,42 +331,45 @@ class Rewriter {
   }
 
   void choose_rewrites() {
-    chosen_.assign(in_.num_nodes(), -1);
+    chosen_.assign(in_.num_nodes(), Choice{});
     for (std::uint32_t v = in_.num_pis() + 1; v < in_.num_nodes(); ++v) {
       int best_gain = 0;
-      for (std::size_t c = 0; c < cuts_[v].size(); ++c) {
-        const Cut& cut = cuts_[v][c];
+      for (const Cut& cut : cuts_[v]) {
         if (cut.num_leaves < 2 ||
             (cut.num_leaves == 2 && is_cut_leaf(lit_var(in_.node(v).fanin0), cut) &&
              is_cut_leaf(lit_var(in_.node(v).fanin1), cut))) {
           continue;  // trivial or identical to the node itself
         }
         const int old_cost = mffc_size(v, cut);
-        const int new_cost = resynth_cost(cut);
-        const int gain = old_cost - new_cost;
+        const ChosenCover& cover = resynth(cut);
+        const int gain = old_cost - cover.cost;
         if (gain > best_gain) {
           best_gain = gain;
-          chosen_[v] = static_cast<int>(c);
+          chosen_[v] = {&cut, &cover};
         }
       }
     }
   }
 
-  tt::TruthTable cut_tt(const Cut& cut) const {
+  // The cover from_truth_table would build for the cut's function, from
+  // the memo when the function was seen before on this thread.
+  const ChosenCover& resynth(const Cut& cut) {
+    const CutKey key{cut.tt, cut.num_leaves};
+    if (const auto it = memo_.find(key); it != memo_.end()) {
+      ++hits_;
+      return it->second;
+    }
+    ++misses_;
     tt::TruthTable f(cut.num_leaves);
     for (int m = 0; m < (1 << cut.num_leaves); ++m) {
       if (cut.tt & (1ULL << m)) {
         f.set(static_cast<std::uint64_t>(m), true);
       }
     }
-    return f;
-  }
-
-  int resynth_cost(const Cut& cut) const {
-    const auto f = cut_tt(cut);
-    const int pos = tt::sop_gate_cost(tt::isop(f));
-    const int neg = tt::sop_gate_cost(tt::isop(~f));
-    return std::min(pos, neg);
+    if (memo_.size() < kCutMemoMaxEntries) {
+      return memo_.emplace(key, choose_cover(f)).first->second;
+    }
+    return uncached_.emplace_back(choose_cover(f));
   }
 
   Aig rebuild() {
@@ -320,15 +378,15 @@ class Rewriter {
     for (std::uint32_t i = 0; i < in_.num_pis(); ++i) {
       map[i + 1] = out.pi(i);
     }
+    std::vector<Lit> leaves;
     for (std::uint32_t v = in_.num_pis() + 1; v < in_.num_nodes(); ++v) {
-      if (chosen_[v] >= 0) {
-        const Cut& cut = cuts_[v][static_cast<std::size_t>(chosen_[v])];
-        std::vector<Lit> leaves;
-        leaves.reserve(static_cast<std::size_t>(cut.num_leaves));
-        for (int i = 0; i < cut.num_leaves; ++i) {
-          leaves.push_back(map[cut.leaves[i]]);
+      if (const Choice& choice = chosen_[v]; choice.cut != nullptr) {
+        leaves.clear();
+        for (int i = 0; i < choice.cut->num_leaves; ++i) {
+          leaves.push_back(map[choice.cut->leaves[i]]);
         }
-        map[v] = from_truth_table(out, cut_tt(cut), leaves);
+        map[v] = lit_notc(from_cover(out, choice.cover->cubes, leaves),
+                          choice.cover->complemented);
       } else {
         const Node& n = in_.node(v);
         map[v] = out.and2(lit_notc(map[lit_var(n.fanin0)], lit_compl(n.fanin0)),
@@ -346,7 +404,16 @@ class Rewriter {
   int cuts_per_node_;
   std::vector<std::uint32_t> refs_;
   std::vector<std::vector<Cut>> cuts_;
-  std::vector<int> chosen_;
+  // Per node: the cut to resynthesize and its cover; null keeps the node.
+  struct Choice {
+    const Cut* cut = nullptr;
+    const ChosenCover* cover = nullptr;
+  };
+  std::vector<Choice> chosen_;
+  CutMemo& memo_;
+  std::deque<ChosenCover> uncached_;  // misses past the memo's cap
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace
@@ -355,6 +422,31 @@ Aig balance(const Aig& in) { return Balancer(in).run(); }
 
 Aig rewrite(const Aig& in, int cut_size, int cuts_per_node) {
   return Rewriter(in, cut_size, cuts_per_node).run();
+}
+
+void clear_rewrite_memo() {
+  g_cut_memo_epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t expand_tt(std::uint64_t tt, std::span<const std::uint32_t> cut,
+                        std::span<const std::uint32_t> merged) {
+  assert(cut.size() <= merged.size() && merged.size() <= kMaxCutSize);
+  // Both leaf lists are sorted, so leaf i lands at pos[i] >= i; moving the
+  // highest leaf first always swaps it with a variable the table ignores.
+  std::array<int, kMaxCutSize> pos{};
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    while (merged[p] != cut[i]) {
+      ++p;
+    }
+    pos[i] = static_cast<int>(p++);
+  }
+  for (int i = static_cast<int>(cut.size()) - 1; i >= 0; --i) {
+    if (pos[i] != i) {
+      tt = swap_vars(tt, i, pos[i]);
+    }
+  }
+  return tt;
 }
 
 }  // namespace lsml::aig

@@ -378,6 +378,7 @@ void PassManager::reset_counters() {
 }
 
 void PassManager::clear_memo() {
+  aig::clear_rewrite_memo();
   std::lock_guard<std::mutex> lock(memo_mutex());
   memo_table().clear();
 }

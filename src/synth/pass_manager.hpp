@@ -133,7 +133,9 @@ class PassManager {
   static std::uint64_t runs_executed();  ///< real runs, memo hits excluded
   static std::uint64_t memo_hits();
   static void reset_counters();
-  /// Drops all memoized results (tests; never required for correctness).
+  /// Drops all memoized results, whole runs and every thread's rewrite
+  /// memo (aig::clear_rewrite_memo) alike. For tests and cold
+  /// measurements; never required for correctness.
   static void clear_memo();
 
  private:

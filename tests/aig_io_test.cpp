@@ -117,6 +117,13 @@ TEST(AigIo, RejectsMBeyondTheLiteralRange) {
   expect_rejected("aag 4294967295 0 0 0 4294967295\n2 0 0\n");
 }
 
+TEST(AigIo, RejectsHeaderLargerThanTheBody) {
+  // Fifty million ANDs promised by a one-line file: rejected before any
+  // table is sized from the header.
+  expect_rejected("aag 50000000 0 0 0 50000000");
+  expect_rejected("aag 50000000 0 0 0 50000000\n2 0 0\n");
+}
+
 TEST(AigIo, RejectsInputVariableZero) {
   expect_rejected("aag 1 1 0 1 0\n0\n2\n");
 }
