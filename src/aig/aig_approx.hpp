@@ -7,6 +7,20 @@
 // negation into account). Nodes near the outputs are protected by a depth
 // threshold. Repeats until the budget is met. The paper reports ~5%
 // accuracy loss when removing 3000-5000 nodes this way (Fig. 7).
+//
+// Rounds are incremental. The cleaned input is copied once into a mutable
+// working graph (fanins, reference counts, fanout lists, unique table).
+// Each round simulates the live nodes with one full-width kernel sweep over
+// fresh patterns, picks the node, and propagates its constant through the
+// affected fanout only, in id order with one-level strash rules; nodes
+// left without references are then swept. The result is turned back into
+// an Aig once, at the end.
+//
+// Byte-identity contract: the result (node numbering, content_hash) and
+// the random stream consumed are exactly those of the straightforward
+// loop that, every round, rebuilds the whole graph through Aig::and2 with
+// the chosen node tied to its constant, calls Aig::cleanup(), and
+// re-simulates. aig_approx_test keeps that loop as its oracle.
 
 #include <cstdint>
 
@@ -23,11 +37,9 @@ struct ApproxOptions {
 
 /// Shrinks `in` below the node budget by constant replacement.
 /// Returns the (cleaned-up) approximated AIG; if `in` is already within
-/// budget, returns a cleaned-up copy.
+/// budget, returns in.cleanup() unchanged. Adds the number of replacement
+/// rounds to the lsml_synth_approx_rounds_total counter.
 Aig approximate_to_budget(const Aig& in, const ApproxOptions& options,
                           core::Rng& rng);
-
-/// Replaces one node (by var id) with a constant and cleans up.
-Aig replace_with_constant(const Aig& in, std::uint32_t var, bool value);
 
 }  // namespace lsml::aig

@@ -61,6 +61,12 @@ Pla read_pla(std::istream& is) {
       if (!(ls >> p.num_inputs) || p.num_inputs == 0) {
         throw std::runtime_error("read_pla: bad .i value");
       }
+      if (p.num_inputs > kMaxInputs) {
+        throw std::runtime_error("read_pla: .i " +
+                                 std::to_string(p.num_inputs) +
+                                 " exceeds the limit of " +
+                                 std::to_string(kMaxInputs) + " inputs");
+      }
       saw_inputs = true;
     } else if (tok == ".o") {
       std::size_t num_outputs = 0;

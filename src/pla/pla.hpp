@@ -11,6 +11,10 @@
 
 namespace lsml::pla {
 
+/// Widest `.i` read_pla accepts. The widest suite benchmark (MNIST-like)
+/// has 784 inputs; the cap stops a header from sizing a Dataset by itself.
+inline constexpr std::size_t kMaxInputs = std::size_t{1} << 16;
+
 /// In-memory PLA: a list of (input cube, output character) lines.
 struct Pla {
   std::size_t num_inputs = 0;
@@ -28,6 +32,8 @@ struct Pla {
   static Pla from_cover(const sop::Cover& cover, std::size_t num_inputs);
 };
 
+/// Parses a single-output PLA; throws std::runtime_error on malformed
+/// input, including a `.i` above kMaxInputs (checked before any sizing).
 Pla read_pla(std::istream& is);
 Pla read_pla_file(const std::string& path);
 void write_pla(const Pla& pla, std::ostream& os);

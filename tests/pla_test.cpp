@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/rng.hpp"
 #include "pla/pla.hpp"
@@ -154,6 +155,30 @@ TEST(Pla, RejectsMalformedInput) {
     std::istringstream is(".i 2\n.kw\n");  // unknown directive
     EXPECT_THROW(read_pla(is), std::runtime_error);
   }
+}
+
+TEST(Pla, RejectsInputCountAboveTheCapBeforeSizingAnything) {
+  // Both headers used to reach Pla::to_dataset: the first built a
+  // 100M-column Dataset, the second threw std::bad_alloc.
+  for (const char* text : {".i 100000000\n.o 1\n.e\n",
+                           ".i 4000000000\n.o 1\n.e\n"}) {
+    std::istringstream is(text);
+    try {
+      (void)read_pla(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the limit"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Pla, AcceptsInputCountAtTheCap) {
+  std::istringstream is(".i " + std::to_string(kMaxInputs) + "\n.o 1\n.e\n");
+  const Pla p = read_pla(is);
+  EXPECT_EQ(p.num_inputs, kMaxInputs);
+  EXPECT_TRUE(p.cubes.empty());
 }
 
 TEST(Pla, FileRoundTrip) {

@@ -201,6 +201,19 @@ TEST(ServiceTest, MalformedRequestsAreErrorsNotCrashes) {
   EXPECT_TRUE(handle(service, make_request("ping")).at("ok").as_bool());
 }
 
+TEST(ServiceTest, OversizedPlaHeaderIsAnErrorNotAnAllocation) {
+  Service service;
+  for (const char* pla : {".i 100000000\n.o 1\n.e\n",
+                          ".i 4000000000\n.o 1\n.e\n"}) {
+    const Json response = handle(service, learn_request(pla));
+    EXPECT_FALSE(response.at("ok").as_bool()) << pla;
+    EXPECT_NE(response.at("error").as_string().find("exceeds the limit"),
+              std::string::npos)
+        << response.dump();
+  }
+  EXPECT_TRUE(handle(service, make_request("ping")).at("ok").as_bool());
+}
+
 TEST(ServiceTest, DeeplyNestedJsonIsAnErrorNotAStackOverflow) {
   Service service;
   // 100k open brackets would overflow the stack in an unbounded
