@@ -14,8 +14,6 @@ namespace lsml::aig {
 
 namespace {
 
-constexpr std::uint32_t kInf = ~0u;
-
 /// Words popcounted before a candidate may be dropped early: past them, a
 /// node whose best possible score cannot beat the leader is skipped.
 constexpr std::size_t kProbeWords = 8;
@@ -51,7 +49,8 @@ class WorkingGraph {
         outputs_(g.outputs()),
         wpr_((num_patterns + 63) / 64),
         arena_(g.num_nodes() * wpr_, 0),
-        pattern_(num_patterns) {
+        pattern_(num_patterns),
+        protected_(g.num_nodes(), 0) {
     table_.reserve(g.num_ands());
     for (std::uint32_t v = num_pis_ + 1; v < g.num_nodes(); ++v) {
       fanin0_[v] = g.fanin0(v);
@@ -98,14 +97,14 @@ class WorkingGraph {
   /// The unprotected live AND that is most often constant in the last
   /// simulation, lowest id on ties; var 0 when every node is protected.
   [[nodiscard]] Choice most_constant(const ApproxOptions& options) {
-    update_output_distance();
+    mark_protected(options.protect_depth);
     const core::simd::Ops& kernels = core::simd::ops();
     const std::size_t probe_bits = kProbeWords * 64;
     std::size_t best_score = 0;
     Choice best;
     for (const core::simd::SweepGate& gate : gates_) {
       const std::uint32_t v = gate.dst;
-      if (dist_[v] < options.protect_depth) {
+      if (protected_[v]) {
         continue;
       }
       // Rows honor the tail-zero invariant, so the popcount needs no mask.
@@ -284,20 +283,38 @@ class WorkingGraph {
     }
   }
 
-  /// Depth of each live node measured from the outputs (0 = drives one).
-  void update_output_distance() {
-    dist_.assign(fanin0_.size(), kInf);
-    for (const Lit o : outputs_) {
-      dist_[lit_var(o)] = 0;
+  /// Marks the nodes less than `depth` fanin steps from an output over
+  /// live ANDs (the outputs' own nodes are at distance 0): a breadth-first
+  /// search of `depth` levels, which visits only the protected nodes.
+  void mark_protected(std::uint32_t depth) {
+    for (const std::uint32_t v : marked_) {
+      protected_[v] = 0;
     }
-    for (std::uint32_t v = static_cast<std::uint32_t>(fanin0_.size()) - 1;
-         v > num_pis_; --v) {
-      if (!live_[v] || dist_[v] == kInf) {
-        continue;
+    marked_.clear();
+    if (depth == 0) {
+      return;
+    }
+    const auto mark = [this](std::uint32_t v) {
+      if (!protected_[v]) {
+        protected_[v] = 1;
+        marked_.push_back(v);
       }
-      for (const Lit f : {fanin0_[v], fanin1_[v]}) {
-        dist_[lit_var(f)] = std::min(dist_[lit_var(f)], dist_[v] + 1);
+    };
+    for (const Lit o : outputs_) {
+      mark(lit_var(o));
+    }
+    // marked_[begin, end) is the level just reached.
+    std::size_t begin = 0;
+    for (std::uint32_t level = 1; level < depth; ++level) {
+      const std::size_t end = marked_.size();
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t v = marked_[i];
+        if (v > num_pis_ && live_[v]) {
+          mark(lit_var(fanin0_[v]));
+          mark(lit_var(fanin1_[v]));
+        }
       }
+      begin = end;
     }
   }
 
@@ -325,7 +342,8 @@ class WorkingGraph {
   std::vector<std::uint64_t> arena_;  ///< one row per node id
   core::BitVec pattern_;  ///< scratch for one PI's random draw
   std::vector<core::simd::SweepGate> gates_;
-  std::vector<std::uint32_t> dist_;
+  std::vector<std::uint8_t> protected_;  ///< set for the nodes in marked_
+  std::vector<std::uint32_t> marked_;    ///< this round's protected nodes
 };
 
 }  // namespace

@@ -11,10 +11,11 @@
 // Rounds are incremental. The cleaned input is copied once into a mutable
 // working graph (fanins, reference counts, fanout lists, unique table).
 // Each round simulates the live nodes with one full-width kernel sweep over
-// fresh patterns, picks the node, and propagates its constant through the
-// affected fanout only, in id order with one-level strash rules; nodes
-// left without references are then swept. The result is turned back into
-// an Aig once, at the end.
+// fresh patterns, marks the protected nodes with a breadth-first search of
+// `protect_depth` levels from the outputs, picks the node, and propagates
+// its constant through the affected fanout only, in id order with
+// one-level strash rules; nodes left without references are then swept.
+// The result is turned back into an Aig once, at the end.
 //
 // Byte-identity contract: the result (node numbering, content_hash) and
 // the random stream consumed are exactly those of the straightforward

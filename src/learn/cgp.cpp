@@ -1,7 +1,8 @@
 #include "learn/cgp.hpp"
 
 #include <algorithm>
-
+#include <cstdint>
+#include <vector>
 
 namespace lsml::learn {
 
@@ -14,30 +15,45 @@ bool lit_compl(std::uint32_t lit) { return lit & 1u; }
 
 core::BitVec CgpIndividual::evaluate(const data::Dataset& ds) const {
   const std::size_t rows = ds.num_rows();
-  std::vector<core::BitVec> gene_vals(genes.size());
-  const auto value_of = [&](std::uint32_t lit) -> core::BitVec {
+  const std::size_t wpr = (rows + 63) / 64;
+  // One row of words per gene; a literal reads a PI column or a gene row
+  // and its complement flag becomes an all-ones XOR mask. Bits past `rows`
+  // in a row's last word never reach a lower bit, so only the result's
+  // tail is cleared.
+  std::vector<std::uint64_t> arena(genes.size() * wpr);
+  const auto words_of = [&](std::uint32_t lit) -> const std::uint64_t* {
     const std::uint32_t idx = lit_index(lit);
-    core::BitVec v = idx < num_pis ? ds.column(idx)
-                                   : gene_vals[idx - num_pis];
-    if (lit_compl(lit)) {
-      v.flip();
-    }
-    return v;
+    return idx < num_pis ? ds.column(idx).words()
+                         : arena.data() + (idx - num_pis) * wpr;
+  };
+  const auto mask_of = [](std::uint32_t lit) {
+    return lit_compl(lit) ? ~std::uint64_t{0} : std::uint64_t{0};
   };
   for (std::size_t g = 0; g < genes.size(); ++g) {
     const CgpGene& gene = genes[g];
-    core::BitVec a = value_of(gene.in0);
-    const core::BitVec b = value_of(gene.in1);
+    const std::uint64_t* a = words_of(gene.in0);
+    const std::uint64_t* b = words_of(gene.in1);
+    const std::uint64_t ca = mask_of(gene.in0);
+    const std::uint64_t cb = mask_of(gene.in1);
+    std::uint64_t* out = arena.data() + g * wpr;
     if (gene.is_xor) {
-      a ^= b;
+      for (std::size_t i = 0; i < wpr; ++i) {
+        out[i] = (a[i] ^ ca) ^ (b[i] ^ cb);
+      }
     } else {
-      a &= b;
+      for (std::size_t i = 0; i < wpr; ++i) {
+        out[i] = (a[i] ^ ca) & (b[i] ^ cb);
+      }
     }
-    gene_vals[g] = std::move(a);
   }
-  core::BitVec out = value_of(output_lit);
-  (void)rows;
-  return out;
+  core::BitVec result(rows);
+  const std::uint64_t* src = words_of(output_lit);
+  const std::uint64_t co = mask_of(output_lit);
+  for (std::size_t i = 0; i < wpr; ++i) {
+    result.words()[i] = src[i] ^ co;
+  }
+  result.mask_tail();
+  return result;
 }
 
 aig::Aig CgpIndividual::to_aig() const {

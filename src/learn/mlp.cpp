@@ -35,20 +35,25 @@ bool act_bit(double z, Activation a) {
 
 }  // namespace
 
-std::vector<double> Mlp::gather_row(const data::Dataset& ds,
-                                    std::size_t r) const {
-  std::vector<double> x(selected_.size());
+void Mlp::load_row(const data::Dataset& ds, std::size_t r,
+                   std::vector<double>& x) const {
   for (std::size_t i = 0; i < selected_.size(); ++i) {
     x[i] = ds.input(r, selected_[i]) ? 1.0 : 0.0;
   }
-  return x;
 }
 
-double Mlp::forward_row(const std::vector<double>& x) const {
-  std::vector<double> cur = x;
+std::size_t Mlp::max_width() const {
+  std::size_t width = selected_.size();
+  for (const Layer& layer : layers_) {
+    width = std::max(width, static_cast<std::size_t>(layer.out_dim));
+  }
+  return width;
+}
+
+double Mlp::forward_row(std::vector<double>& cur,
+                        std::vector<double>& next) const {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    std::vector<double> next(static_cast<std::size_t>(layer.out_dim));
     const bool last = l + 1 == layers_.size();
     for (int o = 0; o < layer.out_dim; ++o) {
       double z = layer.b[static_cast<std::size_t>(o)];
@@ -65,7 +70,7 @@ double Mlp::forward_row(const std::vector<double>& x) const {
       next[static_cast<std::size_t>(o)] =
           last ? sigmoid(z) : act(z, activation_);
     }
-    cur = std::move(next);
+    cur.swap(next);
   }
   return cur[0];
 }
@@ -119,9 +124,17 @@ void Mlp::train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Per-layer forward caches.
+  // Per-layer forward caches and the backward pass's two delta rows, all
+  // sized once: as[l] feeds layer l, zs[l] holds its pre-activations.
   std::vector<std::vector<double>> zs(layers_.size());
   std::vector<std::vector<double>> as(layers_.size() + 1);
+  as[0].resize(selected_.size());
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    zs[l].resize(static_cast<std::size_t>(layers_[l].out_dim));
+    as[l + 1].resize(static_cast<std::size_t>(layers_[l].out_dim));
+  }
+  std::vector<double> delta(max_width());
+  std::vector<double> prev_delta(max_width());
 
   for (int epoch = 0; epoch < epochs; ++epoch) {
     for (std::size_t i = n; i > 1; --i) {
@@ -130,12 +143,10 @@ void Mlp::train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng) {
     const double lr = learning_rate_ / (1.0 + 0.15 * epoch);
     for (std::size_t idx = 0; idx < n; ++idx) {
       const std::size_t r = order[idx];
-      as[0] = gather_row(ds, r);
+      load_row(ds, r, as[0]);
       for (std::size_t l = 0; l < layers_.size(); ++l) {
         const Layer& layer = layers_[l];
         const bool last = l + 1 == layers_.size();
-        zs[l].assign(static_cast<std::size_t>(layer.out_dim), 0.0);
-        as[l + 1].assign(static_cast<std::size_t>(layer.out_dim), 0.0);
         for (int o = 0; o < layer.out_dim; ++o) {
           double z = layer.b[static_cast<std::size_t>(o)];
           const std::size_t base = static_cast<std::size_t>(o) *
@@ -153,11 +164,10 @@ void Mlp::train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng) {
       }
       // Backward: BCE with logistic output -> delta = p - y.
       const double y = ds.label(r) ? 1.0 : 0.0;
-      std::vector<double> delta{as.back()[0] - y};
+      delta[0] = as.back()[0] - y;
       for (std::size_t l = layers_.size(); l-- > 0;) {
         Layer& layer = layers_[l];
-        std::vector<double> prev_delta(
-            static_cast<std::size_t>(layer.in_dim), 0.0);
+        std::fill_n(prev_delta.begin(), layer.in_dim, 0.0);
         for (int o = 0; o < layer.out_dim; ++o) {
           const double d = delta[static_cast<std::size_t>(o)];
           const std::size_t base = static_cast<std::size_t>(o) *
@@ -182,7 +192,7 @@ void Mlp::train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng) {
             prev_delta[static_cast<std::size_t>(j)] *=
                 act_grad(zs[l - 1][static_cast<std::size_t>(j)], activation_);
           }
-          delta = std::move(prev_delta);
+          delta.swap(prev_delta);
         }
       }
     }
@@ -191,8 +201,11 @@ void Mlp::train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng) {
 
 core::BitVec Mlp::predict(const data::Dataset& ds) const {
   core::BitVec out(ds.num_rows());
+  std::vector<double> cur(max_width());
+  std::vector<double> next(max_width());
   for (std::size_t r = 0; r < ds.num_rows(); ++r) {
-    if (forward_row(gather_row(ds, r)) >= 0.5) {
+    load_row(ds, r, cur);
+    if (forward_row(cur, next) >= 0.5) {
       out.set(r, true);
     }
   }

@@ -65,10 +65,17 @@ class Mlp {
     std::vector<double> vb;
   };
 
-  [[nodiscard]] double forward_row(const std::vector<double>& x) const;
+  /// Writes row `r`'s selected inputs as 0.0/1.0 into the first
+  /// selected_features().size() entries of `x`.
+  void load_row(const data::Dataset& ds, std::size_t r,
+                std::vector<double>& x) const;
+  /// Widest layer, inputs included: the size of every row buffer.
+  [[nodiscard]] std::size_t max_width() const;
+  /// Float forward pass of the inputs held in `cur`; `cur` and `next` are
+  /// max_width() scratch rows that the pass swaps between layers.
+  [[nodiscard]] double forward_row(std::vector<double>& cur,
+                                   std::vector<double>& next) const;
   void train_epochs(const data::Dataset& ds, int epochs, core::Rng& rng);
-  [[nodiscard]] std::vector<double> gather_row(const data::Dataset& ds,
-                                               std::size_t r) const;
 
   std::vector<Layer> layers_;
   Activation activation_ = Activation::kSigmoid;

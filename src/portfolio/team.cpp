@@ -324,14 +324,19 @@ class Team4 final : public PortfolioTeam {
     learn::Mlp net = learn::Mlp::fit(reduced, mo, rng);
     // Subspace expansion: query the model on every vertex of the selected
     // hypercube; everything else is don't-care by construction.
+    // Row p of the probe is vertex p, so prediction bit p is table bit p.
     const int d = static_cast<int>(feats.size());
-    tt::TruthTable f(d);
-    data::Dataset probe(feats.size(), 1);
-    for (std::uint64_t p = 0; p < (1ULL << d); ++p) {
+    const std::uint64_t vertices = 1ULL << d;
+    data::Dataset probe(feats.size(), vertices);
+    for (std::uint64_t p = 0; p < vertices; ++p) {
       for (int i = 0; i < d; ++i) {
-        probe.set_input(0, static_cast<std::size_t>(i), (p >> i) & 1);
+        probe.set_input(p, static_cast<std::size_t>(i), (p >> i) & 1);
       }
-      if (net.predict(probe).get(0)) {
+    }
+    const core::BitVec predicted = net.predict(probe);
+    tt::TruthTable f(d);
+    for (std::uint64_t p = 0; p < vertices; ++p) {
+      if (predicted.get(p)) {
         f.set(p, true);
       }
     }

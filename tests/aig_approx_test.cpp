@@ -335,6 +335,30 @@ TEST(ApproxOracle, AllProtectedStopsAfterOneDraw) {
   EXPECT_EQ(out.strash_mode(), Aig::StrashMode::kTwoLevel);
 }
 
+TEST(ApproxOracle, OutputsOnPisAndConstantsProtectNothingBelowThem) {
+  // Outputs driven by a PI, a constant and a complemented PI sit next to a
+  // real cone; the protected set must start from the cone's output alone.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    core::Rng draw(seed + 400);
+    ConeOptions cone;
+    cone.num_inputs = 9;
+    cone.num_ands = 140;
+    cone.flavor = static_cast<ConeFlavor>(seed % 3);
+    const Aig src = random_cone(cone, draw);
+    Aig g(cone.num_inputs);
+    g.add_output(g.pi(3));
+    g.add_output(seed % 2 == 0 ? kLitFalse : kLitTrue);
+    g.add_output(append_aig(g, src));
+    g.add_output(lit_not(g.pi(0)));
+    ApproxOptions options;
+    options.num_patterns = 1000;
+    options.protect_depth = static_cast<std::uint32_t>(seed / 2);
+    options.node_budget = g.num_ands() / 3;
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_matches_oracle(g, options, seed);
+  }
+}
+
 TEST(ApproxOracle, ZeroBudgetUnprotectedEmptiesTheGraph) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     core::Rng draw(seed + 300);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/rng.hpp"
 #include "learn/cgp.hpp"
 #include "learn/dt.hpp"
@@ -22,6 +25,63 @@ data::Dataset function_dataset(std::size_t inputs, std::size_t rows, int seed,
     ds.set_label(r, f(row));
   }
   return ds;
+}
+
+// The BitVec-copying evaluation evaluate() replaced: copy, flip and move a
+// BitVec per fanin per gene. The oracle evaluate() must equal bit for bit.
+core::BitVec reference_evaluate(const CgpIndividual& ind,
+                                const data::Dataset& ds) {
+  std::vector<core::BitVec> gene_vals(ind.genes.size());
+  const auto value_of = [&](std::uint32_t lit) -> core::BitVec {
+    const std::uint32_t idx = lit >> 1;
+    core::BitVec v = idx < ind.num_pis ? ds.column(idx)
+                                       : gene_vals[idx - ind.num_pis];
+    if (lit & 1u) {
+      v.flip();
+    }
+    return v;
+  };
+  for (std::size_t g = 0; g < ind.genes.size(); ++g) {
+    const CgpGene& gene = ind.genes[g];
+    core::BitVec a = value_of(gene.in0);
+    const core::BitVec b = value_of(gene.in1);
+    if (gene.is_xor) {
+      a ^= b;
+    } else {
+      a &= b;
+    }
+    gene_vals[g] = std::move(a);
+  }
+  return value_of(ind.output_lit);
+}
+
+TEST(CgpIndividual, EvaluateMatchesReference) {
+  core::Rng rng(31);
+  for (const bool use_xor : {false, true}) {
+    for (const std::size_t rows : {0, 1, 63, 64, 65, 200, 1000}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        CgpOptions options;
+        options.genome_nodes = 30 + 20 * static_cast<std::size_t>(trial);
+        options.use_xor = use_xor;
+        const std::size_t pis = 3 + static_cast<std::size_t>(trial) * 4;
+        const auto ds = function_dataset(
+            pis, rows, 40 + trial,
+            [](const core::BitVec& r) { return r.get(0); });
+        CgpIndividual ind = Cgp::random_individual(pis, options, rng);
+        // Both output polarities, on a gene and on a PI.
+        for (const std::uint32_t out :
+             {ind.output_lit, ind.output_lit ^ 1u,
+              static_cast<std::uint32_t>(2 * (pis - 1)),
+              static_cast<std::uint32_t>(2 * (pis - 1) + 1)}) {
+          ind.output_lit = out;
+          const core::BitVec got = ind.evaluate(ds);
+          EXPECT_EQ(got, reference_evaluate(ind, ds))
+              << "xor " << use_xor << " rows " << rows << " output " << out;
+          EXPECT_EQ(got.size(), rows);
+        }
+      }
+    }
+  }
 }
 
 TEST(CgpIndividual, EvaluateMatchesAig) {

@@ -9,6 +9,7 @@
 #include "core/bits.hpp"
 #include "learn/factory.hpp"
 #include "portfolio/contest.hpp"
+#include "portfolio/team.hpp"
 #include "suite/runner.hpp"
 
 namespace lsml::portfolio {
@@ -162,6 +163,27 @@ TEST(Contest, GoldenDigestHoldsAtOneAndFourThreads) {
   const std::vector<ContestEntry> entries = {
       {1, learn::LearnerFactory::from_registry("dt")},
       {2, learn::LearnerFactory::from_registry("dt8")}};
+  for (const int threads : {1, 4}) {
+    EXPECT_EQ(results_digest(run_in_memory(entries, suite, 7, threads)),
+              kGolden)
+        << threads << " thread(s)";
+  }
+}
+
+// Pins the teams whose tasks run the neural-network (teams 3, 4 and 8) and
+// CGP (team 9) learners, ISOP on every pruned neuron and subspace table, and
+// approximation of the networks' circuits. Recorded before the word-span
+// ISOP and the allocation-free MLP and CGP kernels replaced their
+// predecessors, which these kernels must reproduce bit for bit.
+TEST(Contest, GoldenDigestHoldsForNeuralAndCgpTeams) {
+  constexpr std::uint64_t kGolden = 0x503deb5380e7ff58ULL;
+  const auto suite = tiny_suite();
+  TeamOptions options;
+  options.scale = core::Scale::kSmoke;
+  std::vector<ContestEntry> entries;
+  for (const int team : {3, 4, 8, 9}) {
+    entries.push_back({team, team_factory(team, options)});
+  }
   for (const int threads : {1, 4}) {
     EXPECT_EQ(results_digest(run_in_memory(entries, suite, 7, threads)),
               kGolden)

@@ -136,5 +136,65 @@ TEST(MlpLearner, EndToEnd) {
   EXPECT_GT(model.valid_acc, 0.9);
 }
 
+// Pins what training, prediction and LUT synthesis compute, for both
+// activations on two seeded sets (the second wide enough to go through
+// feature selection). Recorded before the row loops lost their per-row
+// allocations, which must not change a single floating-point result.
+struct MlpGolden {
+  Activation activation;
+  int set;
+  std::uint64_t predict_hash;  ///< Mlp::predict on the test rows, pruned
+  std::uint64_t raw_hash;      ///< Mlp::to_aig after pruning
+  std::uint64_t learner_hash;  ///< MlpLearner::fit's optimized circuit
+};
+
+TEST(Mlp, GoldenHashesHoldForBothActivations) {
+  const auto f0 = [](const core::BitVec& r) {
+    return (r.get(0) && r.get(3)) != r.get(5);
+  };
+  const auto f1 = [](const core::BitVec& r) {
+    return r.get(7) || (r.get(11) && !r.get(2)) || (r.get(20) && r.get(31));
+  };
+  const data::Dataset sets[2][2] = {
+      {function_dataset(9, 300, 21, f0), function_dataset(9, 150, 22, f0)},
+      {function_dataset(40, 300, 23, f1), function_dataset(40, 150, 24, f1)}};
+  const MlpGolden golden[] = {
+      {Activation::kSigmoid, 0,
+       0x1d2a39d6782de31cULL, 0xacec39f35fad0761ULL, 0x7819979ed890baadULL},
+      {Activation::kSigmoid, 1,
+       0x3726e05bafffce74ULL, 0xc84153712b4e4cddULL, 0x5db3842b7fe3623bULL},
+      {Activation::kSin, 0,
+       0x117790185014e52cULL, 0xa1682571e53bba97ULL, 0xcc855cc90750d093ULL},
+      {Activation::kSin, 1,
+       0x7074c16eef83b328ULL, 0xf9bc9cedef4afa1dULL, 0xf43dff7b59775c80ULL},
+  };
+  for (const MlpGolden& g : golden) {
+    const data::Dataset& train = sets[g.set][0];
+    const data::Dataset& test = sets[g.set][1];
+    MlpOptions options;
+    options.hidden = {12, 6};
+    options.activation = g.activation;
+    options.epochs = 8;
+    options.max_input_features = 16;
+    options.prune_max_fanin = 8;
+    options.prune_retrain_epochs = 2;
+    core::Rng rng(25 + g.set);
+    Mlp net = Mlp::fit(train, options, rng);
+    net.prune_to_fanin(train, rng);
+    EXPECT_EQ(net.predict(test).hash(), g.predict_hash)
+        << "activation " << static_cast<int>(g.activation) << " set "
+        << g.set;
+    EXPECT_EQ(net.to_aig(train.num_inputs()).content_hash(), g.raw_hash)
+        << "activation " << static_cast<int>(g.activation) << " set "
+        << g.set;
+    MlpLearner learner(options, "mlp-golden");
+    core::Rng learner_rng(27 + g.set);
+    EXPECT_EQ(learner.fit(train, test, learner_rng).circuit.content_hash(),
+              g.learner_hash)
+        << "activation " << static_cast<int>(g.activation) << " set "
+        << g.set;
+  }
+}
+
 }  // namespace
 }  // namespace lsml::learn
