@@ -5,7 +5,7 @@
 // word arena — in minterm-evals/s over a deterministic random-cone pool.
 //
 //   bench_aig_core [--json out.json] [--check baseline.json]
-//                  [--max-regress 0.25] [--kernel scalar|avx2|avx512|neon]
+//                  [--max-regress 0.25] [--kernel scalar|avx2|neon]
 //
 // --json writes the machine-readable snapshot (BENCH_aig_core.json is the
 // committed baseline). --check re-reads such a snapshot and exits 1 when
@@ -15,9 +15,7 @@
 // Every simulation case is measured once per available simd backend (the
 // per-kernel columns; the active auto-dispatched backend is starred and is
 // what the aggregate/gate use). --kernel pins the whole run to one
-// backend. Cases at 1024+ rows also measure SimEngine::run_parallel on a
-// 4-thread pool (the "par4" column) — informational on small hosts, the
-// headline on wide ones.
+// backend.
 
 #include <chrono>
 #include <cstdio>
@@ -34,7 +32,6 @@
 #include "core/config.hpp"
 #include "core/rng.hpp"
 #include "core/simd.hpp"
-#include "core/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "server/json.hpp"
 
@@ -123,7 +120,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: bench_aig_core [--json out.json] "
                    "[--check baseline.json] [--max-regress frac] "
-                   "[--kernel scalar|avx2|avx512|neon]\n");
+                   "[--kernel scalar|avx2|neon]\n");
       return 2;
     }
   }
@@ -219,13 +216,6 @@ int main(int argc, char** argv) {
               build_rate, lookup_rate, fold_saved);
 
   // --------------------------------------------------------- simulation
-  // run_parallel is only worth timing on wide sweeps; 4 threads matches
-  // the acceptance criterion ("par4"). On narrow hosts the column still
-  // prints — the speedup is informational, never gated.
-  constexpr std::size_t kParallelThreads = 4;
-  constexpr std::size_t kParallelMinRows = 1024;
-  core::ThreadPool par_pool(kParallelThreads);
-
   std::printf("%8s %6s | %12s |", "ands", "rows", "seed Mme/s");
   for (simd::Backend b : kernels) {
     std::string label = simd::to_string(b);
@@ -234,7 +224,7 @@ int main(int argc, char** argv) {
     }
     std::printf(" %10s", label.c_str());
   }
-  std::printf(" | %10s | %7s\n", "par4 Mme/s", "speedup");
+  std::printf(" | %7s\n", "speedup");
 
   server::Json cases = server::Json::array();
   double seed_minterms = 0.0;
@@ -243,10 +233,6 @@ int main(int argc, char** argv) {
   double engine_s = 0.0;
   std::vector<double> kernel_minterms(kernels.size(), 0.0);
   std::vector<double> kernel_s(kernels.size(), 0.0);
-  double par_minterms = 0.0;
-  double par_s = 0.0;
-  double par_base_minterms = 0.0;  // active-backend serial, same cases
-  double par_base_s = 0.0;
   for (const aig::Aig& g : pool) {
     for (const std::size_t rows : row_counts) {
       const auto patterns = make_patterns(g.num_pis(), rows, 77);
@@ -267,8 +253,6 @@ int main(int argc, char** argv) {
 
       aig::SimEngine engine(g);
       double active_rate = 0.0;
-      double active_reps = 0.0;
-      double active_s = 0.0;
       server::Json kernel_rates = server::Json::object();
       for (std::size_t k = 0; k < kernels.size(); ++k) {
         simd::force_backend(kernels[k]);
@@ -282,30 +266,12 @@ int main(int argc, char** argv) {
         kernel_rates.set(simd::to_string(kernels[k]), rate);
         if (kernels[k] == active) {
           active_rate = rate;
-          active_reps = static_cast<double>(engine_reps);
-          active_s = es;
           engine_minterms += minterms * engine_reps;
           engine_s += es;
         }
         std::printf(" %10.1f", rate / 1e6);
       }
 
-      double par_rate = 0.0;
-      if (rows >= kParallelMinRows) {
-        simd::force_backend(active);
-        const auto [par_reps, ps] = timed_reps([&] {
-          engine.run_parallel(ptrs, par_pool);
-          g_sink = g_sink + engine.row(g.num_nodes() - 1)[0];
-        });
-        par_rate = minterms * par_reps / ps;
-        par_minterms += minterms * par_reps;
-        par_s += ps;
-        par_base_minterms += minterms * active_reps;
-        par_base_s += active_s;
-        std::printf(" | %10.1f", par_rate / 1e6);
-      } else {
-        std::printf(" | %10s", "-");
-      }
       std::printf(" | %6.2fx\n", active_rate / seed_rate);
 
       server::Json c = server::Json::object();
@@ -314,9 +280,6 @@ int main(int argc, char** argv) {
       c.set("seed_minterm_evals_per_s", seed_rate);
       c.set("engine_minterm_evals_per_s", active_rate);
       c.set("kernels", std::move(kernel_rates));
-      if (par_rate > 0.0) {
-        c.set("parallel_minterm_evals_per_s", par_rate);
-      }
       cases.push_back(std::move(c));
     }
   }
@@ -333,12 +296,6 @@ int main(int argc, char** argv) {
     std::printf("aig-core-bench: kernel %s engine=%.0f\n",
                 simd::to_string(kernels[k]),
                 kernel_minterms[k] / kernel_s[k]);
-  }
-  if (par_s > 0.0) {
-    std::printf("aig-core-bench: parallel threads=%zu engine=%.0f "
-                "speedup_vs_serial=%.2f\n",
-                kParallelThreads, par_minterms / par_s,
-                (par_minterms / par_s) / (par_base_minterms / par_base_s));
   }
 
   server::Json out = server::Json::object();
@@ -361,27 +318,19 @@ int main(int argc, char** argv) {
                     kernel_minterms[k] / kernel_s[k]);
   }
   simulation.set("kernels", std::move(kernel_aggs));
-  if (par_s > 0.0) {
-    server::Json par = server::Json::object();
-    par.set("threads", static_cast<std::int64_t>(kParallelThreads));
-    par.set("minterm_evals_per_s", par_minterms / par_s);
-    par.set("speedup_vs_serial",
-            (par_minterms / par_s) / (par_base_minterms / par_base_s));
-    simulation.set("parallel", std::move(par));
-  }
   out.set("simulation", std::move(simulation));
   {
     // Telemetry summary of every sweep the runs above pushed through the
     // shared SimEngine counters (side channel; not gated by --check).
     obs::Registry& reg = obs::Registry::instance();
     server::Json ob = server::Json::object();
-    if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_us")) {
+    if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_ns")) {
       server::Json h = server::Json::object();
       h.set("count", static_cast<std::int64_t>(s->count));
-      h.set("p50_us", s->quantile(0.5));
-      h.set("p99_us", s->quantile(0.99));
-      h.set("mean_us", s->mean());
-      ob.set("sweep_us", std::move(h));
+      h.set("p50_ns", s->quantile(0.5));
+      h.set("p99_ns", s->quantile(0.99));
+      h.set("mean_ns", s->mean());
+      ob.set("sweep_ns", std::move(h));
     }
     ob.set("sweeps", static_cast<std::int64_t>(
                          reg.counter_value("lsml_sim_sweeps_total")));

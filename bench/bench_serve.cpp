@@ -449,13 +449,15 @@ RoundResult run_round(const std::string& host, int port,
 // ------------------------------------------------------------- snapshots
 
 /// Histogram summary for the snapshot's `obs` block: count plus
-/// bucket-interpolated p50/p99 and the exact mean, all in microseconds.
-server::Json summarize_histogram(const obs::HistogramSnapshot& s) {
+/// bucket-interpolated p50/p99 and the exact mean, all in the histogram's
+/// recording `unit` ("us" or "ns"), which also suffixes the keys.
+server::Json summarize_histogram(const obs::HistogramSnapshot& s,
+                                 const std::string& unit = "us") {
   server::Json h = server::Json::object();
   h.set("count", static_cast<std::int64_t>(s.count));
-  h.set("p50_us", s.quantile(0.5));
-  h.set("p99_us", s.quantile(0.99));
-  h.set("mean_us", s.mean());
+  h.set("p50_" + unit, s.quantile(0.5));
+  h.set("p99_" + unit, s.quantile(0.99));
+  h.set("mean_" + unit, s.mean());
   return h;
 }
 
@@ -479,8 +481,8 @@ void write_snapshot(const std::string& path, const Options& options,
             reg.histogram_snapshot("lsml_server_op_us{op=\"eval\"}")) {
       ob.set("eval_us", summarize_histogram(*s));
     }
-    if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_us")) {
-      ob.set("sweep_us", summarize_histogram(*s));
+    if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_ns")) {
+      ob.set("sweep_ns", summarize_histogram(*s, "ns"));
     }
     ob.set("eval_coalesced",
            static_cast<std::int64_t>(

@@ -91,7 +91,7 @@ class WorkingGraph {
     const std::size_t rem = pattern_.size() & 63;
     const std::uint64_t tail_mask = rem == 0 ? ~0ULL : ((1ULL << rem) - 1);
     core::simd::ops().sweep(arena_.data(), wpr_, gates_.data(), gates_.size(),
-                            0, wpr_, tail_mask);
+                            tail_mask);
   }
 
   /// The unprotected live AND that is most often constant in the last

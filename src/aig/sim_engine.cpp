@@ -6,56 +6,9 @@
 #include <stdexcept>
 
 #include "aig/aig.hpp"
-#include "core/thread_pool.hpp"
 #include "obs/registry.hpp"
 
 namespace lsml::aig {
-
-namespace {
-
-// Column-block sizing for sweep_columns: aim one block's arena slice at
-// roughly half an L2 (fanin rows stay resident across the whole gate
-// pass), but never narrower than one AVX-512 vector.
-constexpr std::size_t kBlockTargetWords = (512 * 1024) / 8;
-constexpr std::size_t kMinBlockWords = 8;
-
-// run_parallel: a worker's column slice must be at least this wide for the
-// fork to beat the serial sweep (8 words = 512 rows per slice).
-constexpr std::size_t kMinParallelWords = 8;
-
-}  // namespace
-
-bool SimEngine::prepare(const std::vector<const core::BitVec*>& pi_values) {
-  const Aig& g = *g_;
-  const std::uint32_t num_pis = g.num_pis();
-  if (pi_values.size() < num_pis) {
-    throw std::invalid_argument("SimEngine::run: not enough PI value vectors");
-  }
-  rows_ = num_pis == 0 ? 0 : pi_values[0]->size();
-  wpr_ = (rows_ + 63) / 64;
-  const std::size_t num_nodes = g.num_nodes();
-  arena_.resize(num_nodes * wpr_);
-  if (wpr_ == 0) {
-    return false;
-  }
-  const std::size_t rem = rows_ & 63;
-  tail_mask_ = rem == 0 ? ~0ULL : ((1ULL << rem) - 1);
-  std::uint64_t* const base = arena_.data();
-  // Constant-false row.
-  std::memset(base, 0, wpr_ * sizeof(std::uint64_t));
-  for (std::uint32_t i = 0; i < num_pis; ++i) {
-    const core::BitVec& column = *pi_values[i];
-    if (column.size() != rows_) {
-      throw std::invalid_argument("SimEngine::run: ragged PI value vectors");
-    }
-    std::memcpy(base + (static_cast<std::size_t>(i) + 1) * wpr_,
-                column.words(), wpr_ * sizeof(std::uint64_t));
-  }
-  if (sched_graph_ != g_ || sched_nodes_ != g.num_nodes()) {
-    rebuild_schedule();
-  }
-  return true;
-}
 
 void SimEngine::rebuild_schedule() {
   const Aig& g = *g_;
@@ -89,22 +42,6 @@ void SimEngine::rebuild_schedule() {
   sched_nodes_ = num_nodes;
 }
 
-void SimEngine::sweep_columns(std::size_t w0, std::size_t w1) {
-  if (gates_.empty() || w0 >= w1) {
-    return;
-  }
-  const core::simd::Ops& kernels = core::simd::ops();
-  std::uint64_t* const base = arena_.data();
-  const std::size_t num_rows = g_->num_nodes();
-  std::size_t block_w =
-      kBlockTargetWords / std::max<std::size_t>(num_rows, 1);
-  block_w = std::max(block_w, kMinBlockWords);
-  for (std::size_t w = w0; w < w1; w += block_w) {
-    kernels.sweep(base, wpr_, gates_.data(), gates_.size(), w,
-                  std::min(w1, w + block_w), tail_mask_);
-  }
-}
-
 namespace {
 
 // Process-wide simulation telemetry. Registry references are resolved once
@@ -113,11 +50,9 @@ namespace {
 // the swept bits are untouched.
 struct SimMetrics {
   obs::Counter& sweeps;
-  obs::Counter& parallel_sweeps;
   obs::Counter& rows;
   obs::Counter& words;
-  obs::Counter& partitions;
-  obs::Histogram& sweep_us;
+  obs::Histogram& sweep_ns;
 
   static SimMetrics& get() {
     static SimMetrics* m = [] {
@@ -128,21 +63,19 @@ struct SimMetrics {
                 core::simd::ops().name + "\"}")
           .set(1);
       return new SimMetrics{reg.counter("lsml_sim_sweeps_total"),
-                            reg.counter("lsml_sim_parallel_sweeps_total"),
                             reg.counter("lsml_sim_rows_total"),
                             reg.counter("lsml_sim_words_total"),
-                            reg.counter("lsml_sim_partitions_total"),
-                            reg.histogram("lsml_sim_sweep_us")};
+                            reg.histogram("lsml_sim_sweep_ns")};
     }();
     return *m;
   }
 };
 
-std::uint64_t us_between(std::chrono::steady_clock::time_point a,
+std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
                          std::chrono::steady_clock::time_point b) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
-  return us > 0 ? static_cast<std::uint64_t>(us) : 0;
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
+  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
 }  // namespace
@@ -150,50 +83,40 @@ std::uint64_t us_between(std::chrono::steady_clock::time_point a,
 void SimEngine::run(const std::vector<const core::BitVec*>& pi_values) {
   SimMetrics& metrics = SimMetrics::get();
   const auto start = std::chrono::steady_clock::now();
-  if (!prepare(pi_values)) {
+  const Aig& g = *g_;
+  const std::uint32_t num_pis = g.num_pis();
+  if (pi_values.size() < num_pis) {
+    throw std::invalid_argument("SimEngine::run: not enough PI value vectors");
+  }
+  rows_ = num_pis == 0 ? 0 : pi_values[0]->size();
+  wpr_ = (rows_ + 63) / 64;
+  arena_.resize(static_cast<std::size_t>(g.num_nodes()) * wpr_);
+  if (wpr_ == 0) {
     return;
   }
-  sweep_columns(0, wpr_);
+  const std::size_t rem = rows_ & 63;
+  tail_mask_ = rem == 0 ? ~0ULL : ((1ULL << rem) - 1);
+  std::uint64_t* const base = arena_.data();
+  // Constant-false row.
+  std::memset(base, 0, wpr_ * sizeof(std::uint64_t));
+  for (std::uint32_t i = 0; i < num_pis; ++i) {
+    const core::BitVec& column = *pi_values[i];
+    if (column.size() != rows_) {
+      throw std::invalid_argument("SimEngine::run: ragged PI value vectors");
+    }
+    std::memcpy(base + (static_cast<std::size_t>(i) + 1) * wpr_,
+                column.words(), wpr_ * sizeof(std::uint64_t));
+  }
+  if (sched_graph_ != g_ || sched_nodes_ != g.num_nodes()) {
+    rebuild_schedule();
+  }
+  core::simd::ops().sweep(base, wpr_, gates_.data(), gates_.size(),
+                          tail_mask_);
   metrics.sweeps.add(1);
   metrics.rows.add(rows_);
   metrics.words.add(wpr_ * gates_.size());
-  metrics.sweep_us.record(
-      us_between(start, std::chrono::steady_clock::now()));
-}
-
-void SimEngine::run_parallel(
-    const std::vector<const core::BitVec*>& pi_values,
-    core::ThreadPool& pool) {
-  SimMetrics& metrics = SimMetrics::get();
-  const auto start = std::chrono::steady_clock::now();
-  if (!prepare(pi_values)) {
-    return;
-  }
-  const std::size_t chunks =
-      std::min(pool.num_threads(), wpr_ / kMinParallelWords);
-  if (chunks <= 1 || gates_.empty()) {
-    sweep_columns(0, wpr_);
-    metrics.sweeps.add(1);
-    metrics.rows.add(rows_);
-    metrics.words.add(wpr_ * gates_.size());
-    metrics.sweep_us.record(
-        us_between(start, std::chrono::steady_clock::now()));
-    return;
-  }
-  // Chunk c owns word columns [c*wpr/chunks, (c+1)*wpr/chunks): a disjoint
-  // partition, so workers never touch the same word and the arena is
-  // bit-identical to the serial sweep — no merge, no ordering sensitivity.
-  const std::size_t wpr = wpr_;
-  pool.parallel_for(chunks, [this, wpr, chunks](std::size_t c) {
-    sweep_columns(c * wpr / chunks, (c + 1) * wpr / chunks);
-  });
-  metrics.sweeps.add(1);
-  metrics.parallel_sweeps.add(1);
-  metrics.partitions.add(chunks);
-  metrics.rows.add(rows_);
-  metrics.words.add(wpr_ * gates_.size());
-  metrics.sweep_us.record(
-      us_between(start, std::chrono::steady_clock::now()));
+  metrics.sweep_ns.record(
+      ns_between(start, std::chrono::steady_clock::now()));
 }
 
 core::BitVec SimEngine::extract(Lit l) const {

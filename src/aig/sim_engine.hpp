@@ -6,35 +6,29 @@
 // bottoms out in "simulate this AIG over N rows, 64 rows per word".
 // SimEngine owns that loop once: one flat word arena of
 // num_nodes x words_per_row 64-bit words, driven by the explicit SIMD
-// kernels in core/simd.hpp (AVX2/AVX-512/NEON with a scalar fallback,
-// selected at runtime) instead of relying on auto-vectorization.
+// kernels in core/simd.hpp (AVX2/NEON with a scalar fallback, selected at
+// runtime) instead of relying on auto-vectorization.
 //
 // The sweep itself is levelized: on first run after bind() the engine
 // precomputes a gate schedule in topo-level-major order, so consecutive
 // kernel calls within a level are independent (no store-to-load
 // dependency between adjacent gates — the narrow-row case is latency
-// bound without this). Wide arenas are processed in L2-sized word-column
-// blocks, and run_parallel() partitions word columns across a
-// core::ThreadPool: workers write disjoint words, so the result is
-// bit-identical to run() by construction, with no merge step.
+// bound without this). run() is one full-width kernel sweep over that
+// schedule; splitting it into cache-sized column blocks or across threads
+// was measured slower and is not done.
 //
 // Invariant: after run(), every node row honors the BitVec tail-zero
 // contract (bits past rows() in the last word are zero), so popcount
 // reductions and word-wise compares over rows never need masking.
 //
 // Determinism: results are a pure function of (graph, input rows) —
-// bit-identical to Aig::eval_row per row, across every simd backend, and
-// between run() and run_parallel() at any thread count.
+// bit-identical to Aig::eval_row per row, and across every simd backend.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/bits.hpp"
 #include "core/simd.hpp"
-
-namespace lsml::core {
-class ThreadPool;
-}  // namespace lsml::core
 
 namespace lsml::aig {
 
@@ -64,15 +58,6 @@ class SimEngine {
   /// PI, all the same size). Extra trailing entries are ignored, matching
   /// the historical Aig::simulate contract.
   void run(const std::vector<const core::BitVec*>& pi_values);
-
-  /// run(), with the sweep's word columns partitioned across `pool`'s
-  /// workers. Bit-identical to run() at any thread count (disjoint column
-  /// writes, no merging). Narrow batches fall back to the serial sweep;
-  /// parallelism pays off from roughly 1024 rows and a few hundred gates.
-  /// Must not be called from a worker thread of `pool` itself
-  /// (ThreadPool::parallel_for blocks the caller without executing tasks).
-  void run_parallel(const std::vector<const core::BitVec*>& pi_values,
-                    core::ThreadPool& pool);
 
   /// Rows in the last run() batch.
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -117,14 +102,7 @@ class SimEngine {
                         const core::BitVec& ref, std::size_t* out) const;
 
  private:
-  /// Shared run() prologue: validates inputs, sizes the arena, seeds the
-  /// constant + PI rows, and (re)builds the levelized schedule when stale.
-  /// Returns false when there is nothing to sweep (zero rows).
-  bool prepare(const std::vector<const core::BitVec*>& pi_values);
   void rebuild_schedule();
-  /// Sweeps word columns [w0, w1) of every scheduled gate, tiling to
-  /// L2-sized blocks of the arena.
-  void sweep_columns(std::size_t w0, std::size_t w1);
 
   const Aig* g_ = nullptr;
   std::size_t rows_ = 0;

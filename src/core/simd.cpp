@@ -31,12 +31,6 @@ bool cpu_supports(Backend b) {
       return true;
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Backend::kAvx512:
-      // The avx512 kernels mix 512- and 256-bit ops: F for the wide lanes,
-      // VL (+BW for completeness) for the 256-bit remainder path.
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0;
     case Backend::kNeon:
       return false;
   }
@@ -54,8 +48,6 @@ const Ops* compiled_ops(Backend b) {
       return &kScalar;
     case Backend::kAvx2:
       return avx2_ops();
-    case Backend::kAvx512:
-      return avx512_ops();
     case Backend::kNeon:
       return neon_ops();
   }
@@ -73,7 +65,7 @@ const Ops* detect() {
     if (!backend_from_string(env, &b)) {
       std::fprintf(stderr,
                    "lsml: LSML_SIMD=%s is not a backend name "
-                   "(scalar|avx2|avx512|neon); auto-selecting\n",
+                   "(scalar|avx2|neon); auto-selecting\n",
                    env);
     } else if (const Ops* o = ops_for(b)) {
       return o;
@@ -84,11 +76,7 @@ const Ops* detect() {
                    env);
     }
   }
-  // avx2 outranks avx512 on purpose: 256-bit bitwise throughput is
-  // uniformly high, while 512-bit lanes downclock or double-pump on many
-  // parts (measurably slower on the dev box). avx512 stays compiled,
-  // tested, and one LSML_SIMD=avx512 away for hosts where it wins.
-  for (Backend b : {Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
+  for (Backend b : {Backend::kAvx2, Backend::kNeon}) {
     if (const Ops* o = ops_for(b)) return o;
   }
   return &kScalar;
@@ -112,8 +100,7 @@ Backend active_backend() { return ops().backend; }
 
 std::vector<Backend> available_backends() {
   std::vector<Backend> out;
-  for (Backend b :
-       {Backend::kScalar, Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
     if (ops_for(b) != nullptr) out.push_back(b);
   }
   return out;
@@ -125,8 +112,6 @@ const char* to_string(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
     case Backend::kNeon:
       return "neon";
   }
@@ -134,8 +119,7 @@ const char* to_string(Backend b) {
 }
 
 bool backend_from_string(const std::string& name, Backend* out) {
-  for (Backend b :
-       {Backend::kScalar, Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
     if (name == to_string(b)) {
       *out = b;
       return true;

@@ -4,24 +4,20 @@
 // Every hot loop in the library — the SimEngine AND sweep, BitVec
 // reductions, accuracy scoring — is a handful of bitwise span primitives.
 // This header owns them once, with one kernel table (Ops) per instruction
-// set: a portable scalar backend that is always compiled, plus AVX2,
-// AVX-512 and NEON backends compiled per-TU with the matching -m flags so
-// the rest of the build stays baseline-arch.
+// set: a portable scalar backend that is always compiled, plus AVX2 and
+// NEON backends compiled per-TU with the matching -m flags so the rest of
+// the build stays baseline-arch.
 //
 // Dispatch: the active table is resolved exactly once, on first use —
-// the LSML_SIMD environment override first (scalar|avx2|avx512|neon; an
+// the LSML_SIMD environment override first (scalar|avx2|neon; an
 // unavailable or unknown value warns on stderr and falls back), then the
-// best backend the CPU supports (avx2 > avx512 > neon > scalar; avx2
-// outranks avx512 in auto-selection because 512-bit throughput is
-// microarchitecture-dependent — opt in with LSML_SIMD=avx512 where it
-// wins).
+// best backend the CPU supports (avx2 > neon > scalar).
 //
 // Determinism contract: every backend is bit-identical. Kernels are pure
 // bitwise ops over whole 64-bit words (no floats, no reassociation-
 // sensitive arithmetic), and the sweep kernel preserves the BitVec
 // tail-zero invariant via the caller-supplied tail mask, so swapping
-// backends — or splitting a sweep across threads by word columns — can
-// never change a single result bit.
+// backends can never change a single result bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,8 +29,7 @@ namespace lsml::core::simd {
 enum class Backend : std::uint8_t {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
-  kNeon = 3,
+  kNeon = 2,
 };
 
 /// One AND gate of a packed sweep. Fanins are spelled as
@@ -61,15 +56,13 @@ struct Ops {
                std::size_t n);
 
   /// Straight-line sweep of `count` gates (topological order required)
-  /// over word columns [w0, w1) of a row arena with `wpr` words per row.
-  /// When w1 == wpr the last word of every computed row is ANDed with
-  /// `tail_mask` (complemented fanins set bits past the row count, and the
-  /// arena keeps the BitVec tail-zero invariant). Distinct column ranges
-  /// touch disjoint words, so concurrent calls over a partition of
-  /// [0, wpr) are race-free and bit-identical to one full-range call.
+  /// over whole rows of an arena with `wpr` words per row. The last word
+  /// of every computed row is ANDed with `tail_mask` (complemented fanins
+  /// set bits past the row count, and the arena keeps the BitVec tail-zero
+  /// invariant).
   void (*sweep)(std::uint64_t* base, std::size_t wpr,
-                const SweepGate* gates, std::size_t count, std::size_t w0,
-                std::size_t w1, std::uint64_t tail_mask);
+                const SweepGate* gates, std::size_t count,
+                std::uint64_t tail_mask);
 
   std::size_t (*popcount)(const std::uint64_t* p, std::size_t n);
   /// popcount(p ^ q) — the Hamming-distance reduction behind count_equal.
@@ -99,7 +92,7 @@ std::vector<Backend> available_backends();
 
 const char* to_string(Backend b);
 
-/// Parses "scalar" | "avx2" | "avx512" | "neon" (the LSML_SIMD spellings).
+/// Parses "scalar" | "avx2" | "neon" (the LSML_SIMD spellings).
 bool backend_from_string(const std::string& name, Backend* out);
 
 /// Test/bench-only: pins ops() to `b` (which must be available) until

@@ -49,43 +49,38 @@ void and2_avx2(std::uint64_t* dst, const std::uint64_t* a,
 }
 
 void sweep_avx2(std::uint64_t* base, std::size_t wpr, const SweepGate* gates,
-                std::size_t count, std::size_t w0, std::size_t w1,
-                std::uint64_t tail_mask) {
-  const std::size_t n = w1 - w0;
-  if (n < 4) {
-    // Narrow rows/blocks (wpr <= 3, or a thread's column slice): the
-    // scalar body, still in this TU so it keeps the -mavx2 codegen.
-    sweep_generic(base, wpr, gates, count, w0, w1, tail_mask);
+                std::size_t count, std::uint64_t tail_mask) {
+  if (wpr < 4) {
+    // Narrow rows (wpr <= 3): the scalar body, still in this TU so it
+    // keeps the -mavx2 codegen.
+    sweep_generic(base, wpr, gates, count, tail_mask);
     return;
   }
-  const bool masks_tail = w1 == wpr;
   for (std::size_t i = 0; i < count; ++i) {
     const SweepGate g = gates[i];
-    const std::uint64_t* a =
-        base + static_cast<std::size_t>(g.a >> 1) * wpr + w0;
-    const std::uint64_t* b =
-        base + static_cast<std::size_t>(g.b >> 1) * wpr + w0;
-    std::uint64_t* dst = base + static_cast<std::size_t>(g.dst) * wpr + w0;
+    const std::uint64_t* a = base + static_cast<std::size_t>(g.a >> 1) * wpr;
+    const std::uint64_t* b = base + static_cast<std::size_t>(g.b >> 1) * wpr;
+    std::uint64_t* dst = base + static_cast<std::size_t>(g.dst) * wpr;
     const __m256i vca =
         _mm256_set1_epi64x(-static_cast<long long>(g.a & 1u));
     const __m256i vcb =
         _mm256_set1_epi64x(-static_cast<long long>(g.b & 1u));
     std::size_t w = 0;
-    for (; w + 8 <= n; w += 8) {
+    for (; w + 8 <= wpr; w += 8) {
       store256(dst + w, and2_vec(load256(a + w), load256(b + w), vca, vcb));
       store256(dst + w + 4,
                and2_vec(load256(a + w + 4), load256(b + w + 4), vca, vcb));
     }
-    for (; w + 4 <= n; w += 4)
+    for (; w + 4 <= wpr; w += 4)
       store256(dst + w, and2_vec(load256(a + w), load256(b + w), vca, vcb));
-    if (w < n) {
-      // Ragged remainder: one overlapped vector ending exactly at n.
+    if (w < wpr) {
+      // Ragged remainder: one overlapped vector ending exactly at wpr.
       // Rewrites up to three already-computed words with identical values;
       // safe because a gate's fanin rows are always distinct from dst.
-      w = n - 4;
+      w = wpr - 4;
       store256(dst + w, and2_vec(load256(a + w), load256(b + w), vca, vcb));
     }
-    if (masks_tail) dst[n - 1] &= tail_mask;
+    dst[wpr - 1] &= tail_mask;
   }
 }
 

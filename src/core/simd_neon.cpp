@@ -42,41 +42,36 @@ void and2_neon(std::uint64_t* dst, const std::uint64_t* a,
 }
 
 void sweep_neon(std::uint64_t* base, std::size_t wpr, const SweepGate* gates,
-                std::size_t count, std::size_t w0, std::size_t w1,
-                std::uint64_t tail_mask) {
-  const std::size_t n = w1 - w0;
-  if (n < 2) {
-    sweep_generic(base, wpr, gates, count, w0, w1, tail_mask);
+                std::size_t count, std::uint64_t tail_mask) {
+  if (wpr < 2) {
+    sweep_generic(base, wpr, gates, count, tail_mask);
     return;
   }
-  const bool masks_tail = w1 == wpr;
   for (std::size_t i = 0; i < count; ++i) {
     const SweepGate g = gates[i];
-    const std::uint64_t* a =
-        base + static_cast<std::size_t>(g.a >> 1) * wpr + w0;
-    const std::uint64_t* b =
-        base + static_cast<std::size_t>(g.b >> 1) * wpr + w0;
-    std::uint64_t* dst = base + static_cast<std::size_t>(g.dst) * wpr + w0;
+    const std::uint64_t* a = base + static_cast<std::size_t>(g.a >> 1) * wpr;
+    const std::uint64_t* b = base + static_cast<std::size_t>(g.b >> 1) * wpr;
+    std::uint64_t* dst = base + static_cast<std::size_t>(g.dst) * wpr;
     const uint64x2_t vca = vdupq_n_u64(compl_mask(g.a));
     const uint64x2_t vcb = vdupq_n_u64(compl_mask(g.b));
     std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
+    for (; w + 4 <= wpr; w += 4) {
       vst1q_u64(dst + w,
                 and2_vec(vld1q_u64(a + w), vld1q_u64(b + w), vca, vcb));
       vst1q_u64(dst + w + 2, and2_vec(vld1q_u64(a + w + 2),
                                       vld1q_u64(b + w + 2), vca, vcb));
     }
-    for (; w + 2 <= n; w += 2)
+    for (; w + 2 <= wpr; w += 2)
       vst1q_u64(dst + w,
                 and2_vec(vld1q_u64(a + w), vld1q_u64(b + w), vca, vcb));
-    if (w < n) {
-      // Odd remainder: one overlapped 128-bit vector ending at n (n >= 2;
+    if (w < wpr) {
+      // Odd remainder: one overlapped 128-bit vector ending at wpr (wpr >= 2;
       // fanin rows are always distinct from dst).
-      w = n - 2;
+      w = wpr - 2;
       vst1q_u64(dst + w,
                 and2_vec(vld1q_u64(a + w), vld1q_u64(b + w), vca, vcb));
     }
-    if (masks_tail) dst[n - 1] &= tail_mask;
+    dst[wpr - 1] &= tail_mask;
   }
 }
 

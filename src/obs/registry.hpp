@@ -160,7 +160,7 @@ class Histogram {
 };
 
 // The process-wide registry. Metric names follow
-//   lsml_<subsystem>_<what>[_total|_us|_bytes]{label="value",...}
+//   lsml_<subsystem>_<what>[_total|_us|_ns|_bytes]{label="value",...}
 // where the label block is part of the registry key. Two kinds of entry
 // share a name space: metrics the registry owns (subsystem singletons,
 // created by counter()/gauge()/histogram() and never destroyed) and

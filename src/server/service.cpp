@@ -186,9 +186,6 @@ Service::Service(ServiceOptions options)
     shards_.push_back(std::make_unique<StoreShard>());
   }
   shard_mask_ = pow2 - 1;
-  if (options_.sim_threads > 0) {
-    sim_pool_ = std::make_unique<core::ThreadPool>(options_.sim_threads);
-  }
   register_metrics();
 }
 
@@ -517,15 +514,6 @@ void Service::sweep_jobs(const StoredModel& model,
   thread_local std::vector<core::BitVec> combined;
   thread_local std::vector<core::BitVec> combined_outputs;
   engine.bind(model.circuit);
-  const auto sweep = [this](aig::SimEngine& e,
-                            const std::vector<const core::BitVec*>& ptrs,
-                            std::size_t rows) {
-    if (sim_pool_ != nullptr && rows >= options_.sim_parallel_min_rows) {
-      e.run_parallel(ptrs, *sim_pool_);
-    } else {
-      e.run(ptrs);
-    }
-  };
   if (batch.size() == 1) {
     // One job: sweep its columns in place, no concatenation.
     EvalJob& job = *batch.front();
@@ -533,7 +521,7 @@ void Service::sweep_jobs(const StoredModel& model,
     for (std::size_t col = 0; col < num_pis; ++col) {
       ptrs[col] = &job.columns[col];
     }
-    sweep(engine, ptrs, job.rows);
+    engine.run(ptrs);
     engine.outputs_into(&job.outputs);
     return;
   }
@@ -560,7 +548,7 @@ void Service::sweep_jobs(const StoredModel& model,
   for (std::size_t col = 0; col < num_pis; ++col) {
     ptrs[col] = &combined[col];
   }
-  sweep(engine, ptrs, total);
+  engine.run(ptrs);
   engine.outputs_into(&combined_outputs);
   offset = 0;
   for (const auto& job : batch) {

@@ -70,7 +70,6 @@
 
 #include "aig/aig.hpp"
 #include "core/bits.hpp"
-#include "core/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "server/json.hpp"
 #include "suite/result_cache.hpp"
@@ -98,15 +97,6 @@ struct ServiceOptions {
   std::size_t max_eval_rows = 1u << 20;
   /// Cap on ping's optional server-side sleep.
   std::int64_t max_ping_sleep_ms = 60000;
-  /// Width of the Service-owned sweep pool for wide evals (0 = off, sweeps
-  /// stay on the request thread). Deliberately a *separate* pool from the
-  /// transport's workers: SimEngine::run_parallel blocks its caller, so
-  /// sweeping on the pool the caller occupies could starve the daemon.
-  std::size_t sim_threads = 0;
-  /// Rows one sweep must reach (summed over coalesced jobs) before it is
-  /// partitioned across the sweep pool; narrower sweeps run serially.
-  /// Results are bit-identical either way.
-  std::size_t sim_parallel_min_rows = 4096;
 };
 
 /// Per-request deadline: a budget in milliseconds counted from the moment
@@ -282,9 +272,6 @@ class Service {
   /// Critical sections are O(1) pointer shuffling; sweeps run outside.
   std::mutex eval_mutex_;
   std::unordered_map<std::string, std::shared_ptr<EvalFlight>> eval_flights_;
-
-  /// Column-parallel sweep pool (see ServiceOptions::sim_threads).
-  std::unique_ptr<core::ThreadPool> sim_pool_;
 
   std::vector<std::unique_ptr<StoreShard>> shards_;
   std::size_t shard_mask_ = 0;

@@ -170,9 +170,12 @@ bool FeatureVector::parse(const std::string& text, FeatureVector* out) {
   const auto read_double = [&is, &tag](double* value) {
     return static_cast<bool>(is >> tag) && parse_double(tag, value);
   };
+  // Appended rather than "v" + to_string(): GCC 12 raises a false
+  // -Wrestrict on the prepend, which breaks -Werror builds.
+  std::string version_tag = "v";
+  version_tag += std::to_string(kFeatureSchemaVersion);
   FeatureVector f;
-  if (!expect("fv") ||
-      !expect(("v" + std::to_string(kFeatureSchemaVersion)).c_str()) ||
+  if (!expect("fv") || !expect(version_tag.c_str()) ||
       !expect("pis") || !(is >> f.num_pis) || !expect("pos") ||
       !(is >> f.num_pos) || !expect("ands") || !(is >> f.num_ands) ||
       !expect("levels") || !(is >> f.num_levels) || !expect("maxfo") ||

@@ -1,10 +1,10 @@
 // Kernel-parity suite for the explicit SIMD layer (core/simd.hpp) and the
-// levelized / parallel SimEngine sweeps built on it.
+// levelized SimEngine sweep built on it.
 //
 // The contract under test: every compiled-in backend — and every way of
-// driving it (serial run(), column-parallel run_parallel() at any pool
-// width, scratch-reuse extraction) — produces bit-identical results, all
-// agreeing with the one-row-at-a-time Aig::eval_row oracle.
+// driving it (narrow and wide arenas, an engine reused across batch sizes,
+// scratch-reuse extraction) — produces bit-identical results, all agreeing
+// with the one-row-at-a-time Aig::eval_row oracle.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,7 @@
 #include "core/bits.hpp"
 #include "core/rng.hpp"
 #include "core/simd.hpp"
-#include "core/thread_pool.hpp"
+#include "obs/registry.hpp"
 
 namespace lsml {
 namespace {
@@ -135,33 +135,82 @@ TEST(SimdKernelParityTest, AllBackendsMatchEvalRowOn200RandomAigs) {
   }
 }
 
-// run_parallel must be bit-identical to run() at 1/2/8 pool threads, on
-// ragged and tail-masked batches, with the engine reused across batch
-// sizes (arena/schedule reuse is part of the contract). This test also
-// runs under TSan in CI: the column partition must be race-free.
-TEST(SimdKernelParityTest, RunParallelBitIdenticalToRunAt1_2_8Threads) {
+// One wide cone, one engine per backend, each reused across batch sizes:
+// at 4113 rows the arena is ~1.5 MB, so the full-width sweep runs far past
+// any cache-sized block, and the ragged batch sizes exercise every
+// kernel's tail handling (the avx2 overlapped epilogue included) while the
+// arena and schedule are reused. Every backend must reproduce the scalar
+// arena, and the scalar outputs must match Aig::eval_row on every row.
+// (Separate engines per backend, so a kernel that skips words cannot pass
+// on values another backend left in a shared arena.)
+TEST(SimdKernelParityTest, WideArenaAllBackendsMatchScalarAndEvalRow) {
   Rng rng(777);
   aig::ConeOptions cone;
-  cone.num_inputs = 12;
-  cone.num_ands = 300;
+  cone.num_inputs = 16;
+  cone.num_ands = 18000;  // construction target; ~3000 ANDs survive cleanup
+  cone.flavor = aig::ConeFlavor::kXorRich;
   cone.max_tries = 1;
   const Aig g = aig::random_cone(cone, rng);
-  const std::size_t row_choices[] = {1, 63, 64, 65, 127, 512, 1000, 1024,
-                                     1500, 4113};
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    core::ThreadPool pool(threads);
-    SimEngine serial(g);
-    SimEngine parallel(g);
-    for (std::size_t rows : row_choices) {
-      const std::vector<BitVec> columns =
-          random_columns(g.num_pis(), rows, rng);
-      const std::vector<const BitVec*> ptrs = column_ptrs(columns);
-      serial.run(ptrs);
-      parallel.run_parallel(ptrs, pool);
-      ASSERT_EQ(parallel.node_values(), serial.node_values())
-          << threads << " threads, " << rows << " rows";
+  const std::size_t kWidestRows = 4113;
+  ASSERT_GT(g.num_nodes() * ((kWidestRows + 63) / 64) * 8, 1024u * 1024u)
+      << "cone too small for a wide arena: " << g.num_ands() << " ANDs";
+  const std::vector<simd::Backend> backends = simd::available_backends();
+  ASSERT_EQ(backends.front(), simd::Backend::kScalar);
+  std::vector<SimEngine> engines(backends.size(), SimEngine(g));
+  for (std::size_t rows : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                           std::size_t{65}, std::size_t{1500}, kWidestRows}) {
+    const std::vector<BitVec> columns = random_columns(g.num_pis(), rows, rng);
+    const std::vector<const BitVec*> ptrs = column_ptrs(columns);
+    std::vector<BitVec> reference;
+    {
+      ForcedBackend forced(simd::Backend::kScalar);
+      SimEngine& engine = engines.front();
+      engine.run(ptrs);
+      reference = engine.node_values();
+      const std::vector<BitVec> outputs = engine.outputs();
+      std::vector<std::uint8_t> row_bits(g.num_pis());
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::uint32_t i = 0; i < g.num_pis(); ++i) {
+          row_bits[i] = columns[i].get(r) ? 1 : 0;
+        }
+        const std::vector<bool> expect = g.eval_row(row_bits);
+        for (std::uint32_t o = 0; o < g.num_outputs(); ++o) {
+          ASSERT_EQ(outputs[o].get(r), expect[o])
+              << rows << " rows, row " << r << " output " << o;
+        }
+      }
+    }
+    for (std::size_t k = 1; k < backends.size(); ++k) {
+      ForcedBackend forced(backends[k]);
+      engines[k].run(ptrs);
+      ASSERT_EQ(engines[k].node_values(), reference)
+          << "backend " << simd::to_string(backends[k]) << ", " << rows
+          << " rows";
     }
   }
+}
+
+// The sweep latency histogram is in ns: a 400-row sweep of a few hundred
+// ANDs takes ~2 µs, which µs buckets would round away. One run() is one
+// sample with a nonzero duration.
+TEST(SimEngineMetricsTest, RunRecordsOneSweepInNanoseconds) {
+  Rng rng(400);
+  aig::ConeOptions cone;
+  cone.num_inputs = 12;
+  cone.num_ands = 500;
+  cone.max_tries = 1;
+  const Aig g = aig::random_cone(cone, rng);
+  const std::vector<BitVec> columns = random_columns(g.num_pis(), 400, rng);
+  SimEngine engine(g);
+  engine.run(column_ptrs(columns));  // registers the metrics
+  obs::Registry& reg = obs::Registry::instance();
+  const auto before = reg.histogram_snapshot("lsml_sim_sweep_ns");
+  ASSERT_TRUE(before.has_value());
+  engine.run(column_ptrs(columns));
+  const auto after = reg.histogram_snapshot("lsml_sim_sweep_ns");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->count, before->count + 1);
+  EXPECT_GT(after->sum, before->sum);
 }
 
 TEST(SimdKernelParityTest, BitVecReductionsMatchNaiveUnderEveryBackend) {
