@@ -1,6 +1,8 @@
 // SAT subsystem bench: (1) CEC latency as a function of AIG size — each
 // circuit is checked against its own resyn2 optimization, so every miter
-// is a real UNSAT proof obligation; (2) fraig node reduction — resyn2fs
+// is a real UNSAT proof obligation and every verdict must read EQ (CI
+// fails on any other); the conflicts column is the whole check's total,
+// sweep probes plus final solve; (2) fraig node reduction — resyn2fs
 // vs resyn2 AND counts over the same random-cone pool the synth bench
 // uses. Rides the bench_common scaffolding: LSML_SCALE grows the pool.
 
@@ -44,7 +46,9 @@ int main() {
               .count();
       std::printf("%8u | %9u %9s | %10llu | %9.2f\n", g.num_ands(),
                   opt.num_ands(),
-                  r.status == sat::CecStatus::kEquivalent ? "EQ" : "??",
+                  r.status == sat::CecStatus::kEquivalent      ? "EQ"
+                  : r.status == sat::CecStatus::kNotEquivalent ? "NEQ"
+                                                                : "UNDEC",
                   static_cast<unsigned long long>(r.solver_stats.conflicts),
                   ms);
     }

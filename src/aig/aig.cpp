@@ -340,7 +340,11 @@ std::uint32_t Aig::cone_size() const {
   return count;
 }
 
-Lit append_aig(Aig& dst, const Aig& src, std::size_t output_index) {
+namespace {
+
+/// Copies every node of `src` into `dst` (PI i to PI i); returns the
+/// src var -> dst literal map.
+std::vector<Lit> copy_nodes(Aig& dst, const Aig& src) {
   if (src.num_pis() > dst.num_pis()) {
     throw std::invalid_argument("append_aig: source has more PIs");
   }
@@ -353,8 +357,25 @@ Lit append_aig(Aig& dst, const Aig& src, std::size_t output_index) {
     map[v] = dst.and2(lit_notc(map[lit_var(n.fanin0)], lit_compl(n.fanin0)),
                       lit_notc(map[lit_var(n.fanin1)], lit_compl(n.fanin1)));
   }
+  return map;
+}
+
+}  // namespace
+
+Lit append_aig(Aig& dst, const Aig& src, std::size_t output_index) {
+  const std::vector<Lit> map = copy_nodes(dst, src);
   const Lit out = src.output(output_index);
   return lit_notc(map[lit_var(out)], lit_compl(out));
+}
+
+std::vector<Lit> append_aig_outputs(Aig& dst, const Aig& src) {
+  const std::vector<Lit> map = copy_nodes(dst, src);
+  std::vector<Lit> outs;
+  outs.reserve(src.num_outputs());
+  for (const Lit out : src.outputs()) {
+    outs.push_back(lit_notc(map[lit_var(out)], lit_compl(out)));
+  }
+  return outs;
 }
 
 double agreement(const Aig& aig,

@@ -192,4 +192,8 @@ double agreement(const Aig& aig,
 /// separately-trained circuits into one ensemble AIG.
 Lit append_aig(Aig& dst, const Aig& src, std::size_t output_index = 0);
 
+/// Copies `src` into `dst` once, as append_aig does, and returns the
+/// literal of every src output inside dst (in output order).
+std::vector<Lit> append_aig_outputs(Aig& dst, const Aig& src);
+
 }  // namespace lsml::aig

@@ -1,10 +1,17 @@
 #pragma once
 // SAT-based combinational equivalence checking (CEC).
 //
-// cec(a, b) builds a miter of the two circuits over shared primary inputs
-// and asks the CDCL solver whether any input makes an output pair differ.
-// UNSAT proves equivalence; SAT yields a concrete counterexample cube; a
-// blown budget returns kUndecided — never a wrong verdict. This is the
+// cec(a, b) strashes both circuits into one AIG over shared primary
+// inputs (each copied once), so logic they share merges for free; if
+// every output pair lands on the same literal the circuits are equivalent
+// without a solver call. Otherwise the miter output (the OR of the
+// per-output XORs) is cut down to its cone and simulated on random
+// patterns: a pattern that sets it is the counterexample. Failing that,
+// the miter is SAT-swept by the fraig engine (sat/fraig.hpp), which
+// proves internal equivalences bottom-up, and what is left of its output
+// is solved on the same CDCL solver. UNSAT proves equivalence; SAT yields
+// a concrete counterexample cube; a blown budget returns kUndecided —
+// never a wrong verdict. This is the
 // exactness the paper trades away, made checkable: any optimized circuit
 // can be certified against the raw learner output it came from.
 
@@ -19,7 +26,8 @@ namespace lsml::sat {
 
 enum class CecStatus { kEquivalent, kNotEquivalent, kUndecided };
 
-/// Resource limits on the underlying SAT call; 0 = unlimited.
+/// Resource limits on the whole check (sweep probes plus the final solve
+/// together); 0 = unlimited.
 struct CecLimits {
   std::int64_t conflict_budget = 100000;
   std::int64_t propagation_budget = 0;
@@ -31,7 +39,9 @@ struct CecResult {
   std::vector<std::uint8_t> counterexample;
   /// kNotEquivalent only: index of an output the cube distinguishes.
   std::size_t failing_output = 0;
-  /// Underlying solver effort (cumulative over the one miter call).
+  /// Solver effort of the whole check: the shared solver's cumulative
+  /// stats over the sweep probes and the final solve (all zero when
+  /// strashing or simulation alone decides).
   SolverStats solver_stats;
 };
 

@@ -1,7 +1,5 @@
 #include "sat/cnf.hpp"
 
-#include <stdexcept>
-
 namespace lsml::sat {
 
 Lit add_xor(Solver& solver, Lit a, Lit b) {
@@ -13,19 +11,6 @@ Lit add_xor(Solver& solver, Lit a, Lit b) {
   return t;
 }
 
-Lit add_or(Solver& solver, const std::vector<Lit>& lits) {
-  const Lit t = make_lit(solver.new_var(), false);
-  std::vector<Lit> forward;
-  forward.reserve(lits.size() + 1);
-  forward.push_back(lit_not(t));
-  for (const Lit l : lits) {
-    forward.push_back(l);
-    solver.add_clause({t, lit_not(l)});
-  }
-  solver.add_clause(std::move(forward));
-  return t;
-}
-
 CnfBuilder::CnfBuilder(Solver& solver, const aig::Aig& g)
     : solver_(solver), aig_(g) {
   const_var_ = solver_.new_var();
@@ -33,20 +18,6 @@ CnfBuilder::CnfBuilder(Solver& solver, const aig::Aig& g)
   pi_vars_.reserve(g.num_pis());
   for (std::uint32_t i = 0; i < g.num_pis(); ++i) {
     pi_vars_.push_back(solver_.new_var());
-  }
-}
-
-CnfBuilder::CnfBuilder(Solver& solver, const aig::Aig& g,
-                       const CnfBuilder& pis)
-    : solver_(solver), aig_(g), pi_vars_(pis.pi_vars_),
-      const_var_(pis.const_var_) {
-  if (&solver != &pis.solver_) {
-    throw std::invalid_argument(
-        "CnfBuilder: miter halves must share one Solver");
-  }
-  if (g.num_pis() != pis.aig_.num_pis()) {
-    throw std::invalid_argument(
-        "CnfBuilder: miter halves must have equal PI counts");
   }
 }
 
@@ -98,15 +69,6 @@ Lit CnfBuilder::lit(aig::Lit l) {
     }
   }
   return node_lit_[root] ^ static_cast<Lit>(aig::lit_compl(l));
-}
-
-std::vector<Lit> CnfBuilder::output_lits() {
-  std::vector<Lit> outs;
-  outs.reserve(aig_.num_outputs());
-  for (const aig::Lit o : aig_.outputs()) {
-    outs.push_back(lit(o));
-  }
-  return outs;
 }
 
 }  // namespace lsml::sat

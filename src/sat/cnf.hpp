@@ -4,10 +4,10 @@
 // A CnfBuilder binds one aig::Aig to a sat::Solver: every AND node gets a
 // solver variable constrained by the three Tseitin clauses, translated
 // lazily and incrementally — the bound AIG may keep growing (the fraig
-// pass encodes its under-construction circuit node by node), because node
-// ids are topological and append-only. Two builders may share a Solver
-// and the same primary-input variables, which is exactly a miter over
-// shared PIs (the btor_aig_to_sat_constraints pattern from boolector).
+// sweep encodes its under-construction circuit node by node), because
+// node ids are topological and append-only (the
+// btor_aig_to_sat_constraints pattern from boolector). A miter needs no
+// second builder: sat::cec strashes both circuits into one AIG first.
 
 #include <cstdint>
 #include <vector>
@@ -20,10 +20,6 @@ namespace lsml::sat {
 /// Fresh variable t with t <-> (a XOR b); returns the literal of t.
 Lit add_xor(Solver& solver, Lit a, Lit b);
 
-/// Fresh variable t with t <-> OR(lits); returns the literal of t.
-/// An empty disjunction yields a literal fixed false.
-Lit add_or(Solver& solver, const std::vector<Lit>& lits);
-
 class CnfBuilder {
  public:
   /// Binds `g` to `solver`, creating one variable per primary input plus
@@ -31,24 +27,16 @@ class CnfBuilder {
   /// count must not change (appending AND nodes is fine).
   CnfBuilder(Solver& solver, const aig::Aig& g);
 
-  /// Binds `g` but shares primary-input variables (and the constant) with
-  /// `pis`, forming a miter over common inputs. PI counts must match.
-  CnfBuilder(Solver& solver, const aig::Aig& g, const CnfBuilder& pis);
-
   /// Solver literal computing AIG literal `l`, encoding any AND nodes in
   /// its cone that have not been translated yet.
   Lit lit(aig::Lit l);
 
-  /// Solver literals of all outputs (encodes their cones).
-  std::vector<Lit> output_lits();
-
-  /// Solver literal of primary input `i` (shared across miter halves).
+  /// Solver literal of primary input `i`.
   [[nodiscard]] Lit pi_lit(std::uint32_t i) const {
     return make_lit(pi_vars_[i], false);
   }
 
   [[nodiscard]] Solver& solver() { return solver_; }
-  [[nodiscard]] const aig::Aig& aig() const { return aig_; }
 
  private:
   Solver& solver_;

@@ -5,8 +5,6 @@
 
 #include "aig/sim_engine.hpp"
 #include "core/bits.hpp"
-#include "sat/cnf.hpp"
-#include "sat/solver.hpp"
 
 namespace lsml::sat {
 
@@ -113,34 +111,16 @@ class SignatureIndex {
 
 }  // namespace
 
-aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
-               core::Rng& rng, FraigStats* stats) {
-  FraigStats local;
-  local.ands_in = in.num_ands();
-  const auto publish = [&](const aig::Aig& out) {
-    local.ands_out = out.num_ands();
-    if (stats != nullptr) {
-      *stats = local;
-    }
-  };
-  if (in.num_ands() == 0 || in.num_pis() == 0) {
-    aig::Aig out = in.cleanup();
-    publish(out);
-    return out;
-  }
-
+SweepResult sweep(const aig::Aig& in, const FraigOptions& options,
+                  core::Rng& rng, Solver& solver, aig::Aig& out,
+                  const Budget& cap) {
+  SweepResult result{{}, CnfBuilder(solver, out), {}};
+  CnfBuilder& cnf = result.cnf;
+  FraigStats& stats = result.stats;
+  const SolverStats at_entry = solver.stats();
   const std::size_t rows =
       (options.sim_patterns < 64 ? 64 : (options.sim_patterns + 63) / 64 * 64);
   SignatureIndex index(in, rows, rng);
-
-  // Two-level strash: redundant AND nodes (contradiction / subsumption /
-  // resemblance across grandchildren) fold structurally instead of
-  // costing a signature class and a SAT probe.
-  aig::Aig out(in.num_pis(), aig::Aig::StrashMode::kTwoLevel);
-  Solver solver;
-  CnfBuilder cnf(solver, out);
-  Budget budget;
-  budget.max_conflicts = options.conflict_budget;
 
   // old var -> literal over `out` computing the same function of the PIs.
   std::vector<aig::Lit> map(in.num_nodes(), aig::kLitFalse);
@@ -166,6 +146,9 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
     add_representative(v);
   }
 
+  // Once the whole-call cap is spent no probe runs again: the remaining
+  // nodes are only strashed, as after a budget-limited probe.
+  bool cap_spent = false;
   std::vector<std::uint8_t> cex_row(in.num_pis());
   for (std::uint32_t v = in.num_pis() + 1; v < in.num_nodes(); ++v) {
     const aig::Node& node = in.node(v);
@@ -175,7 +158,7 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
         aig::lit_notc(map[aig::lit_var(node.fanin1)],
                       aig::lit_compl(node.fanin1)));
     bool merged = false;
-    bool give_up = false;
+    bool give_up = cap_spent;
     std::uint32_t probes = 0;
     bool rescan = true;
     while (rescan && !merged && !give_up) {
@@ -201,29 +184,38 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
           give_up = true;
           break;
         }
+        Budget budget;
+        budget.max_conflicts = options.conflict_budget;
+        if (!fit_to_cap(&budget, cap,
+                        solver.stats().conflicts - at_entry.conflicts,
+                        solver.stats().propagations - at_entry.propagations)) {
+          cap_spent = true;
+          give_up = true;
+          break;
+        }
         const Lit probe = add_xor(solver, cnf.lit(nl), cnf.lit(cand));
-        ++local.sat_calls;
+        ++stats.sat_calls;
         const Status verdict = solver.solve({probe}, budget);
         if (verdict == Status::kUnsat) {
           map[v] = cand;
           merged = true;
-          ++local.proved;
+          ++stats.proved;
           break;
         }
         if (verdict == Status::kUnknown) {
-          ++local.undecided;
+          ++stats.undecided;
           give_up = true;  // keep the node; the merge stays unproven
           break;
         }
         // SAT: a concrete input separating the pair. Feed it back; once
         // a 64-row block accumulates, refine every signature and rescan
         // this node's (possibly split) class.
-        ++local.disproved;
+        ++stats.disproved;
         for (std::uint32_t i = 0; i < in.num_pis(); ++i) {
           cex_row[i] = solver.model_value(cnf.pi_lit(i)) ? 1 : 0;
         }
         index.add_pattern(cex_row);
-        ++local.cex_patterns;
+        ++stats.cex_patterns;
         if (index.pending() >= 64) {
           index.refine();
           rebuild_buckets();
@@ -239,12 +231,40 @@ aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
     add_representative(v);
   }
 
+  result.outputs.reserve(in.num_outputs());
   for (const aig::Lit o : in.outputs()) {
-    out.add_output(
+    result.outputs.push_back(
         aig::lit_notc(map[aig::lit_var(o)], aig::lit_compl(o)));
   }
+  return result;
+}
+
+aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
+               core::Rng& rng, FraigStats* stats) {
+  const auto publish = [&](FraigStats local, const aig::Aig& out) {
+    local.ands_in = in.num_ands();
+    local.ands_out = out.num_ands();
+    if (stats != nullptr) {
+      *stats = local;
+    }
+  };
+  if (in.num_ands() == 0 || in.num_pis() == 0) {
+    aig::Aig out = in.cleanup();
+    publish({}, out);
+    return out;
+  }
+
+  // Two-level strash: redundant AND nodes (contradiction / subsumption /
+  // resemblance across grandchildren) fold structurally instead of
+  // costing a signature class and a SAT probe.
+  aig::Aig out(in.num_pis(), aig::Aig::StrashMode::kTwoLevel);
+  Solver solver;
+  const SweepResult swept = sweep(in, options, rng, solver, out, Budget{});
+  for (const aig::Lit o : swept.outputs) {
+    out.add_output(o);
+  }
   aig::Aig cleaned = out.cleanup();
-  publish(cleaned);
+  publish(swept.stats, cleaned);
   return cleaned;
 }
 

@@ -9,12 +9,20 @@
 // the node (never an unsound merge). The output circuit is therefore
 // always function-equivalent to the input; sat::cec can certify it.
 //
+// One sweep engine serves two callers: fraig() runs it on a fresh solver
+// and returns the reduced circuit, and sat::cec runs it on its miter,
+// under the check's conflict budget, before the final solve on the same
+// solver.
+//
 // Deterministic: (input, options, rng state) fully determine the result.
 
 #include <cstdint>
+#include <vector>
 
 #include "aig/aig.hpp"
 #include "core/rng.hpp"
+#include "sat/cnf.hpp"
+#include "sat/solver.hpp"
 
 namespace lsml::sat {
 
@@ -42,5 +50,29 @@ struct FraigStats {
 /// the simulation patterns only.
 aig::Aig fraig(const aig::Aig& in, const FraigOptions& options,
                core::Rng& rng, FraigStats* stats = nullptr);
+
+/// What sweep() leaves behind.
+struct SweepResult {
+  /// Each output of the swept circuit, as a literal over the caller's
+  /// `out`.
+  std::vector<aig::Lit> outputs;
+  /// `out` bound to the caller's solver, with every probed cone already
+  /// encoded: further queries on `out` reuse the probes' variables and
+  /// learned clauses.
+  CnfBuilder cnf;
+  /// Probe counts; ands_in and ands_out stay zero.
+  FraigStats stats;
+};
+
+/// The sweep engine. Rebuilds `in` (which must have a PI) node by node
+/// into `out` (empty, with in.num_pis() PIs), merging every node that a
+/// probe on `solver` proves equal to a candidate. Each probe runs under
+/// the tighter of `options.conflict_budget` and what remains of `cap`
+/// (counted from entry; 0 fields are unlimited). Once the cap is spent no
+/// further probe runs and the remaining nodes are kept unmerged, as after
+/// a budget-limited probe.
+SweepResult sweep(const aig::Aig& in, const FraigOptions& options,
+                  core::Rng& rng, Solver& solver, aig::Aig& out,
+                  const Budget& cap);
 
 }  // namespace lsml::sat

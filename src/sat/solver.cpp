@@ -362,7 +362,36 @@ class SolveScope {
   obs::ScopedSpan span_;
 };
 
+/// One field of fit_to_cap: tightens `*limit` to cap - spent.
+bool fit_limit(std::int64_t* limit, std::int64_t cap, std::uint64_t spent) {
+  if (cap <= 0) {
+    return true;
+  }
+  if (spent >= static_cast<std::uint64_t>(cap)) {
+    return false;
+  }
+  const auto remaining = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(cap) - spent);
+  if (*limit <= 0 || *limit > remaining) {
+    *limit = remaining;
+  }
+  return true;
+}
+
 }  // namespace
+
+bool fit_to_cap(Budget* limit, const Budget& cap,
+                std::uint64_t spent_conflicts,
+                std::uint64_t spent_propagations) {
+  Budget fitted = *limit;
+  if (!fit_limit(&fitted.max_conflicts, cap.max_conflicts, spent_conflicts) ||
+      !fit_limit(&fitted.max_propagations, cap.max_propagations,
+                 spent_propagations)) {
+    return false;
+  }
+  *limit = fitted;
+  return true;
+}
 
 Status Solver::solve(const std::vector<Lit>& assumptions,
                      const Budget& budget) {

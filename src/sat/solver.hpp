@@ -48,6 +48,17 @@ struct SolverStats {
   std::uint64_t restarts = 0;
 };
 
+/// Tightens `*limit` to what `cap` leaves once `spent_conflicts` and
+/// `spent_propagations` of it are used (0 = unlimited in both budgets).
+/// Returns false, leaving `*limit` alone, when the cap is used up: no
+/// solve may run then, since a zero budget would mean unlimited. A solve
+/// never exceeds its conflict budget, so calls fitted this way stay
+/// within the cap's conflicts; propagations may overrun by the last
+/// propagation run, as they do under any budget.
+bool fit_to_cap(Budget* limit, const Budget& cap,
+                std::uint64_t spent_conflicts,
+                std::uint64_t spent_propagations);
+
 class Solver {
  public:
   Solver();

@@ -304,7 +304,7 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
   }
 
   // The verify_equivalence hook: certify the whole script exact with one
-  // SAT call on the (input, output) miter. Failure never escapes as a
+  // sat::cec call on the (input, output) pair. Failure never escapes as a
   // wrong circuit — the run falls back to the input's cleanup.
   if (options_.verify_equivalence) {
     if (function_changed) {
