@@ -449,15 +449,14 @@ RoundResult run_round(const std::string& host, int port,
 // ------------------------------------------------------------- snapshots
 
 /// Histogram summary for the snapshot's `obs` block: count plus
-/// bucket-interpolated p50/p99 and the exact mean, all in the histogram's
-/// recording `unit` ("us" or "ns"), which also suffixes the keys.
-server::Json summarize_histogram(const obs::HistogramSnapshot& s,
-                                 const std::string& unit = "us") {
+/// bucket-interpolated p50/p99 and the exact mean, in nanoseconds like
+/// every histogram it summarizes.
+server::Json summarize_histogram(const obs::HistogramSnapshot& s) {
   server::Json h = server::Json::object();
   h.set("count", static_cast<std::int64_t>(s.count));
-  h.set("p50_" + unit, s.quantile(0.5));
-  h.set("p99_" + unit, s.quantile(0.99));
-  h.set("mean_" + unit, s.mean());
+  h.set("p50_ns", s.quantile(0.5));
+  h.set("p99_ns", s.quantile(0.99));
+  h.set("mean_ns", s.mean());
   return h;
 }
 
@@ -474,15 +473,15 @@ void write_snapshot(const std::string& path, const Options& options,
     // process; under --connect the registry belongs to the remote daemon.
     obs::Registry& reg = obs::Registry::instance();
     server::Json ob = server::Json::object();
-    if (const auto s = reg.histogram_snapshot("lsml_server_queue_wait_us")) {
-      ob.set("queue_wait_us", summarize_histogram(*s));
+    if (const auto s = reg.histogram_snapshot("lsml_server_queue_wait_ns")) {
+      ob.set("queue_wait_ns", summarize_histogram(*s));
     }
     if (const auto s =
-            reg.histogram_snapshot("lsml_server_op_us{op=\"eval\"}")) {
-      ob.set("eval_us", summarize_histogram(*s));
+            reg.histogram_snapshot("lsml_server_op_ns{op=\"eval\"}")) {
+      ob.set("eval_ns", summarize_histogram(*s));
     }
     if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_ns")) {
-      ob.set("sweep_ns", summarize_histogram(*s, "ns"));
+      ob.set("sweep_ns", summarize_histogram(*s));
     }
     ob.set("eval_coalesced",
            static_cast<std::int64_t>(

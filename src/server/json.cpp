@@ -1,9 +1,11 @@
 #include "server/json.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace lsml::server {
 
@@ -249,7 +251,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(const std::string& text, std::span<const RowCapture> captures)
+      : text_(text), captures_(captures) {}
 
   Json parse_document() {
     Json v = parse_value();
@@ -353,7 +356,16 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(std::move(key), parse_value());
+      const RowCapture* capture = depth_ == 1 ? find_capture(key) : nullptr;
+      if (capture != nullptr) {
+        skip_ws();  // as parse_value() would; peek() fails the same way
+      }
+      if (capture != nullptr && peek() == '[') {
+        capture_rows(*capture);
+        obj.set(std::move(key), Json::array());
+      } else {
+        obj.set(std::move(key), parse_value());
+      }
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -366,10 +378,106 @@ class Parser {
     }
   }
 
+  [[nodiscard]] const RowCapture* find_capture(const std::string& key) const {
+    for (const RowCapture& capture : captures_) {
+      if (key == capture.key) {
+        return &capture;
+      }
+    }
+    return nullptr;
+  }
+
+  /// parse_value() of a captured member's array: the grammar, error texts
+  /// and depth accounting of parse_array(), but string elements are
+  /// appended to the block instead of built as Json values.
+  void capture_rows(const RowCapture& capture) {
+    RowBlock& block = *capture.block;
+    block.bytes.clear();
+    block.row_ends.clear();
+    block.group_ends.clear();
+    ++depth_;
+    if (!capture.nested) {
+      capture_group(&block);
+    } else {
+      expect('[');
+      skip_ws();
+      if (peek() == ']') {
+        ++pos_;
+      } else {
+        while (true) {
+          skip_ws();
+          if (peek() == '[') {
+            ++depth_;  // as parse_value() would; depth 3 cannot hit its cap
+            capture_group(&block);
+            --depth_;
+          } else {
+            parse_value();
+            end_entry(&block.group_ends, block.rows(), true);
+          }
+          if (next_in_array()) {
+            break;
+          }
+        }
+      }
+    }
+    --depth_;
+  }
+
+  /// One array of rows (pos_ at its '[') as the block's next group.
+  void capture_group(RowBlock* block) {
+    expect('[');
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+    } else {
+      while (true) {
+        skip_ws();
+        if (peek() == '"') {
+          append_string(&block->bytes);
+          end_entry(&block->row_ends, block->bytes.size(), false);
+        } else {
+          parse_value();
+          end_entry(&block->row_ends, block->bytes.size(), true);
+        }
+        if (next_in_array()) {
+          break;
+        }
+      }
+    }
+    end_entry(&block->group_ends, block->rows(), false);
+  }
+
+  /// Records one row or group end. Offsets are 31-bit (the top bit is
+  /// RowBlock::kWrongType), so a block past 2 GiB is refused, not wrapped.
+  void end_entry(std::vector<std::uint32_t>* ends, std::size_t end,
+                 bool wrong_type) {
+    constexpr std::uint32_t kFlag = RowBlock::kWrongType;
+    if (end >= kFlag || ends->size() >= kFlag) {
+      fail_at("JSON rows exceed 2 GiB");
+    }
+    ends->push_back(static_cast<std::uint32_t>(end) |
+                    (wrong_type ? kFlag : 0u));
+  }
+
+  /// After an array element: consumes ',' (false) or the closing ']'
+  /// (true), exactly as parse_array() does.
+  bool next_in_array() {
+    skip_ws();
+    const char c = peek();
+    ++pos_;
+    if (c == ']') {
+      return true;
+    }
+    if (c != ',') {
+      fail_at("expected ',' or ']' in array");
+    }
+    return false;
+  }
+
   /// Counts the elements of the array starting at pos_ (first element, '['
   /// already consumed) by scanning ahead to the matching ']'. One linear
-  /// rescan buys an exact vector reserve — for the hot eval payloads
-  /// (hundreds of row strings) that removes every reallocation move of the
+  /// rescan buys an exact vector reserve — for long string arrays
+  /// (hundreds of rows) that removes every reallocation move of the
   /// ~100-byte Json elements, which costs more than the scan.
   std::size_t count_array_elements() const {
     std::size_t count = 1;
@@ -411,21 +519,15 @@ class Parser {
     while (true) {
       skip_ws();
       if (peek() == '"') {
-        // Dominant payload shape (arrays of minterm-row strings): build
-        // the string directly inside the array slot instead of moving a
+        // Arrays of strings (rows that are not captured): build the
+        // string directly inside the array slot instead of moving a
         // ~100-byte Json through return values and push_back.
         parse_string_into(arr.emplace_back());
       } else {
         arr.push_back(parse_value());
       }
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') {
+      if (next_in_array()) {
         return arr;
-      }
-      if (c != ',') {
-        fail_at("expected ',' or ']' in array");
       }
     }
   }
@@ -477,6 +579,24 @@ class Parser {
     const char* data = text_.data();
     std::size_t i = pos_;
     const std::size_t n = text_.size();
+    // Eight bytes per step: flag bytes equal to '"' or '\\' (zero after
+    // the xor) or below 0x20. A borrow can only flag bytes above a true
+    // hit, so the lowest flag is exact.
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, data + i, 8);
+      const std::uint64_t quote = x ^ (kOnes * '"');
+      const std::uint64_t slash = x ^ (kOnes * '\\');
+      const std::uint64_t hits = (((quote - kOnes) & ~quote) |
+                                  ((slash - kOnes) & ~slash) |
+                                  ((x - kOnes * 0x20) & ~x)) &
+                                 kHighs;
+      if (hits != 0) {
+        return i + static_cast<std::size_t>(std::countr_zero(hits)) / 8;
+      }
+    }
     while (i < n) {
       const unsigned char c = static_cast<unsigned char>(data[i]);
       if (c == '"' || c == '\\' || c < 0x20) {
@@ -488,15 +608,22 @@ class Parser {
   }
 
   std::string parse_string() {
+    std::string out;
+    append_string(&out);
+    return out;
+  }
+
+  /// Appends the decoded string at pos_ (its opening quote) to `out`.
+  void append_string(std::string* out) {
     expect('"');
     // Fast path: the whole string is one clean run (no escapes).
     const std::size_t run = scan_plain_run();
     if (run < text_.size() && text_[run] == '"') {
-      std::string out(text_, pos_, run - pos_);
+      out->append(text_, pos_, run - pos_);
       pos_ = run + 1;
-      return out;
+      return;
     }
-    return parse_string_tail();
+    parse_string_tail(out);
   }
 
   /// Parses a string element straight into `out` — the fast path assigns
@@ -509,22 +636,24 @@ class Parser {
       pos_ = run + 1;
       return;
     }
-    out = Json(parse_string_tail());
+    std::string tail;
+    parse_string_tail(&tail);
+    out = Json(std::move(tail));
   }
 
-  /// Escape-handling slow path; pos_ sits just past the opening quote.
-  std::string parse_string_tail() {
-    std::string out;
+  /// Escape-handling slow path, appending to `out`; pos_ sits just past
+  /// the opening quote.
+  void parse_string_tail(std::string* out) {
     while (true) {
       const std::size_t run = scan_plain_run();
-      out.append(text_, pos_, run - pos_);
+      out->append(text_, pos_, run - pos_);
       pos_ = run;
       if (pos_ >= text_.size()) {
         fail_at("unterminated string");
       }
       const char c = text_[pos_++];
       if (c == '"') {
-        return out;
+        return;
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         fail_at("raw control character in string");
@@ -535,28 +664,28 @@ class Parser {
       const char e = text_[pos_++];
       switch (e) {
         case '"':
-          out.push_back('"');
+          out->push_back('"');
           break;
         case '\\':
-          out.push_back('\\');
+          out->push_back('\\');
           break;
         case '/':
-          out.push_back('/');
+          out->push_back('/');
           break;
         case 'n':
-          out.push_back('\n');
+          out->push_back('\n');
           break;
         case 'r':
-          out.push_back('\r');
+          out->push_back('\r');
           break;
         case 't':
-          out.push_back('\t');
+          out->push_back('\t');
           break;
         case 'b':
-          out.push_back('\b');
+          out->push_back('\b');
           break;
         case 'f':
-          out.push_back('\f');
+          out->push_back('\f');
           break;
         case 'u': {
           unsigned cp = parse_hex4();
@@ -575,7 +704,7 @@ class Parser {
           } else if (cp >= 0xdc00 && cp <= 0xdfff) {
             fail_at("unpaired UTF-16 surrogate");
           }
-          append_utf8(cp, &out);
+          append_utf8(cp, out);
           break;
         }
         default:
@@ -630,6 +759,7 @@ class Parser {
   }
 
   const std::string& text_;
+  std::span<const RowCapture> captures_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
@@ -637,7 +767,12 @@ class Parser {
 }  // namespace
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return Parser(text, {}).parse_document();
+}
+
+Json Json::parse(const std::string& text,
+                 std::span<const RowCapture> captures) {
+  return Parser(text, captures).parse_document();
 }
 
 }  // namespace lsml::server

@@ -19,12 +19,15 @@
 //
 // Payloads (PLA text, AIGER text) travel as ordinary JSON strings with
 // embedded "\n" escapes, which is what keeps the framing one-line-per-
-// message without a length prefix.
+// message without a length prefix. Minterm rows (an `eval`'s "inputs" and
+// "batches") can bypass the tree: the parser decodes them into a RowBlock.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,6 +37,52 @@ namespace lsml::server {
 class JsonError : public std::runtime_error {
  public:
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
+};
+
+/// The string elements of captured request arrays, decoded by the parser
+/// straight from the request bytes: every row's bytes back to back plus
+/// one end offset per row, so a row costs its bytes and four more — no
+/// Json node and no std::string. Rows are grouped by the array they came
+/// from, in request order.
+struct RowBlock {
+  /// Set in a row end when the element was not a JSON string, and in a
+  /// group end when the element was not a JSON array; such an element
+  /// holds no bytes (or rows).
+  static constexpr std::uint32_t kWrongType = 0x80000000u;
+
+  std::string bytes;
+  std::vector<std::uint32_t> row_ends;    ///< end of each row in `bytes`
+  std::vector<std::uint32_t> group_ends;  ///< end of each group in rows
+
+  [[nodiscard]] std::size_t rows() const { return row_ends.size(); }
+  [[nodiscard]] std::size_t groups() const { return group_ends.size(); }
+  [[nodiscard]] bool is_string(std::size_t r) const {
+    return (row_ends[r] & kWrongType) == 0;
+  }
+  /// Row `r`'s decoded bytes (empty when it was not a string).
+  [[nodiscard]] std::string_view row(std::size_t r) const {
+    const std::uint32_t begin = r == 0 ? 0 : row_ends[r - 1] & ~kWrongType;
+    return {bytes.data() + begin, (row_ends[r] & ~kWrongType) - begin};
+  }
+  [[nodiscard]] bool is_array(std::size_t g) const {
+    return (group_ends[g] & kWrongType) == 0;
+  }
+  /// Group `g` holds rows [group_begin(g), group_end(g)).
+  [[nodiscard]] std::size_t group_begin(std::size_t g) const {
+    return g == 0 ? 0 : group_end(g - 1);
+  }
+  [[nodiscard]] std::size_t group_end(std::size_t g) const {
+    return group_ends[g] & ~kWrongType;
+  }
+};
+
+/// A top-level object member whose array value the parser decodes into
+/// `block` instead of the tree: a plain capture's array is one group of
+/// rows, a `nested` capture's array holds one group per element.
+struct RowCapture {
+  const char* key;
+  bool nested;
+  RowBlock* block;
 };
 
 class Json {
@@ -106,6 +155,15 @@ class Json {
 
   /// Parses exactly one JSON value; trailing non-whitespace throws.
   static Json parse(const std::string& text);
+  /// Same grammar and errors, except that a member of the top-level object
+  /// named by a capture, whose value is an array, keeps its elements out of
+  /// the tree: string elements go to the capture's block as rows, other
+  /// elements are parsed, dropped and marked kWrongType in the block.
+  /// The member itself stays as an empty array, so find() still tells
+  /// whether it was sent and with which type. A repeated member clears its
+  /// block first, matching set()'s last-wins rule.
+  static Json parse(const std::string& text,
+                    std::span<const RowCapture> captures);
 
  private:
   void dump_to(std::string* out) const;

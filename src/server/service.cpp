@@ -1,8 +1,11 @@
 #include "server/service.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -26,18 +29,18 @@ namespace lsml::server {
 
 namespace {
 
-/// Op order of Service::op_us_; dispatch() indexes both by the same value.
+/// Op order of Service::op_ns_; dispatch() indexes both by the same value.
 /// The names double as span names and as the `op` label of
-/// lsml_server_op_us, so they must stay protocol-exact.
+/// lsml_server_op_ns, so they must stay protocol-exact.
 constexpr const char* kOpNames[Service::kNumOps] = {
     "learn", "eval", "synth", "cec", "ping", "stats", "metrics"};
 
-std::uint64_t us_since(std::chrono::steady_clock::time_point start,
+std::uint64_t ns_since(std::chrono::steady_clock::time_point start,
                        std::chrono::steady_clock::time_point end) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start)
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();
-  return us > 0 ? static_cast<std::uint64_t>(us) : 0;
+  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
 /// A request that cannot be served as asked; becomes an ok:false response.
@@ -211,11 +214,11 @@ void Service::register_metrics() {
   alias("lsml_server_pings_total", stats_.pings);
   alias("lsml_server_deadline_expired_total", stats_.deadline_expired);
   metric_regs_.push_back(
-      reg.register_histogram("lsml_server_queue_wait_us", &queue_wait_us_));
+      reg.register_histogram("lsml_server_queue_wait_ns", &queue_wait_ns_));
   for (std::size_t op = 0; op < kNumOps; ++op) {
     metric_regs_.push_back(reg.register_histogram(
-        std::string("lsml_server_op_us{op=\"") + kOpNames[op] + "\"}",
-        &op_us_[op]));
+        std::string("lsml_server_op_ns{op=\"") + kOpNames[op] + "\"}",
+        &op_ns_[op]));
   }
   metric_regs_.push_back(reg.register_gauge_fn(
       "lsml_server_models_cached",
@@ -236,16 +239,20 @@ std::string Service::handle_line(
   // Queue wait: transport frame time -> this worker picking the line up.
   const auto picked_up = std::chrono::steady_clock::now();
   if (picked_up >= received_at) {
-    queue_wait_us_.record(us_since(received_at, picked_up));
+    queue_wait_ns_.record(ns_since(received_at, picked_up));
     if (obs::Tracer::enabled()) {
       obs::Tracer::record("queue_wait", "server", received_at, picked_up);
     }
   }
   Json request;
+  // Minterm rows skip the tree: the parser packs them into these blocks.
+  EvalRows rows;
+  const RowCapture captures[] = {{"inputs", false, &rows.inputs},
+                                 {"batches", true, &rows.batches}};
   try {
     {
       obs::ScopedSpan parse_span("parse", "server");
-      request = Json::parse(line);
+      request = Json::parse(line, captures);
     }
     if (!request.is_object()) {
       throw RequestError("request must be a JSON object");
@@ -254,7 +261,7 @@ std::string Service::handle_line(
     deadline.received_at = received_at;
     deadline.budget_ms =
         optional_int(request, "deadline_ms", 0, 0, 24LL * 3600 * 1000);
-    Json response = dispatch(request, deadline);
+    Json response = dispatch(request, rows, deadline);
     obs::ScopedSpan serialize_span("serialize", "server");
     return response.dump();
   } catch (const DeadlineExpired& e) {
@@ -272,7 +279,8 @@ std::string Service::handle_line(
   }
 }
 
-Json Service::dispatch(const Json& request, const Deadline& deadline) {
+Json Service::dispatch(const Json& request, const EvalRows& rows,
+                       const Deadline& deadline) {
   const std::string type = required_string(request, "type");
   std::size_t op = kNumOps;
   for (std::size_t i = 0; i < kNumOps; ++i) {
@@ -295,7 +303,7 @@ Json Service::dispatch(const Json& request, const Deadline& deadline) {
       case 0:
         return handle_learn(request, deadline);
       case 1:
-        return handle_eval(request);
+        return handle_eval(request, rows);
       case 2:
         return handle_synth(request, deadline);
       case 3:
@@ -308,7 +316,7 @@ Json Service::dispatch(const Json& request, const Deadline& deadline) {
         return handle_metrics(request);
     }
   }();
-  op_us_[op].record(us_since(start, std::chrono::steady_clock::now()));
+  op_ns_[op].record(ns_since(start, std::chrono::steady_clock::now()));
   return response;
 }
 
@@ -442,28 +450,23 @@ Json Service::handle_learn(const Json& request, const Deadline& deadline) {
 
 namespace {
 
-/// Parses one array of minterm strings into per-PI columns appended at
-/// `offset` of `columns` (each already sized for the request's total rows).
-/// `where` names the array in error messages ("inputs", "batches[2]").
-void parse_rows_into_columns(const Json& rows_json, std::size_t num_pis,
-                             std::size_t offset,
-                             std::vector<core::BitVec>* columns,
-                             const std::string& where) {
-  const std::size_t rows = rows_json.size();
-  for (std::size_t row = 0; row < rows; ++row) {
-    const Json& line = rows_json.at(row);
-    if (!line.is_string() || line.as_string().size() != num_pis) {
-      throw RequestError(where + "[" + std::to_string(row) + "] must be a " +
-                         std::to_string(num_pis) + "-character 0/1 string");
-    }
-    const std::string& bits = line.as_string();
-    for (std::size_t col = 0; col < num_pis; ++col) {
-      if (bits[col] == '1') {
-        (*columns)[col].set(offset + row, true);
-      } else if (bits[col] != '0') {
-        throw RequestError(where + "[" + std::to_string(row) +
-                           "] holds a character other than 0/1");
-      }
+static_assert(std::endian::native == std::endian::little,
+              "minterm rows are packed eight bytes per little-endian load");
+
+constexpr std::uint64_t kByteLows = 0x0101010101010101ULL;
+/// Eight '0' characters as one word.
+constexpr std::uint64_t kZeroChars = 0x3030303030303030ULL;
+
+/// In-place transpose of a 64x64 bit matrix: bit j of m[i] trades places
+/// with bit i of m[j]. Each stage swaps the off-diagonal blocks of every
+/// 2j x 2j block, from 32 down to 1.
+void transpose64(std::uint64_t* m) {
+  std::uint64_t mask = 0x00000000ffffffffULL;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k + j]) & mask;
+      m[k] ^= t << j;
+      m[k + j] ^= t;
     }
   }
 }
@@ -499,6 +502,62 @@ std::string bits_to_string(const core::BitVec& bits, std::size_t offset,
 }
 
 }  // namespace
+
+std::size_t decode_minterm_rows(const RowBlock& rows, std::size_t width,
+                                std::vector<core::BitVec>* columns) {
+  const std::size_t n = rows.rows();
+  columns->assign(width, core::BitVec(n));
+  // One 64x64 tile per 64 columns. A row packs into its tiles eight
+  // characters per multiply; the transpose then turns 64 row words into
+  // one 64-row word per column.
+  const std::size_t tiles = (width + 63) / 64;
+  std::vector<std::uint64_t> tile(tiles * 64);
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t count = std::min<std::size_t>(64, n - base);
+    for (std::size_t i = 0; i < 64; ++i) {
+      if (i >= count) {
+        for (std::size_t t = 0; t < tiles; ++t) {
+          tile[t * 64 + i] = 0;  // rows past the end stay zero
+        }
+        continue;
+      }
+      const std::size_t r = base + i;
+      const std::string_view row = rows.row(r);
+      if (!rows.is_string(r) || row.size() != width) {
+        return r;
+      }
+      std::uint64_t bad = 0;
+      for (std::size_t t = 0; t < tiles; ++t) {
+        const char* chars = row.data() + t * 64;
+        const std::size_t span = std::min<std::size_t>(64, width - t * 64);
+        std::uint64_t word = 0;
+        for (std::size_t k = 0; k < span; k += 8) {
+          std::uint64_t x = kZeroChars;
+          if (span - k >= 8) {
+            std::memcpy(&x, chars + k, 8);
+          } else {
+            std::memcpy(&x, chars + k, span - k);
+          }
+          // Only '0' (0x30) and '1' (0x31) clear every bit but the lowest.
+          bad |= (x & ~kByteLows) ^ kZeroChars;
+          word |= (((x & kByteLows) * 0x0102040810204080ULL) >> 56) << k;
+        }
+        tile[t * 64 + i] = word;
+      }
+      if (bad != 0) {
+        return r;
+      }
+    }
+    for (std::size_t t = 0; t < tiles; ++t) {
+      transpose64(&tile[t * 64]);
+      const std::size_t span = std::min<std::size_t>(64, width - t * 64);
+      for (std::size_t c = 0; c < span; ++c) {
+        (*columns)[t * 64 + c].words()[base / 64] = tile[t * 64 + c];
+      }
+    }
+  }
+  return n;
+}
 
 void Service::sweep_jobs(const StoredModel& model,
                          const std::vector<std::shared_ptr<EvalJob>>& batch) {
@@ -582,6 +641,9 @@ void Service::run_eval_job(const std::string& id, const StoredModel& model,
   }
   flight->running = true;
   lock.unlock();
+  if (before_leader_sweep_) {
+    before_leader_sweep_();
+  }
   // Leader: sweep own rows immediately (coalescing never adds latency to
   // an uncontended eval), then serve rounds of followers that piled up.
   sweep_jobs(model, {job});
@@ -609,7 +671,7 @@ void Service::run_eval_job(const std::string& id, const StoredModel& model,
   }
 }
 
-Json Service::handle_eval(const Json& request) {
+Json Service::handle_eval(const Json& request, const EvalRows& rows) {
   const std::string id = required_string(request, "model");
   std::uint64_t hash = 0;
   if (!model_hash_from_id(id, &hash)) {
@@ -625,7 +687,9 @@ Json Service::handle_eval(const Json& request) {
   }
 
   // Rows arrive either as one flat "inputs" array or as a "batches" array
-  // of row arrays; either way every row rides ONE SimEngine sweep.
+  // of row arrays; either way every row rides ONE SimEngine sweep. The
+  // request holds an array member as an empty placeholder: its rows are in
+  // `rows`, one group for "inputs" and one per batch.
   const Json* inputs = optional_member(request, "inputs");
   const Json* batches = optional_member(request, "batches");
   if ((inputs == nullptr) == (batches == nullptr)) {
@@ -633,29 +697,23 @@ Json Service::handle_eval(const Json& request) {
         "request needs exactly one of 'inputs' (an array of minterm "
         "strings) or 'batches' (an array of such arrays)");
   }
-  std::vector<const Json*> groups;
+  const RowBlock& block = inputs != nullptr ? rows.inputs : rows.batches;
   if (inputs != nullptr) {
-    if (!inputs->is_array() || inputs->size() == 0) {
+    if (!inputs->is_array() || block.rows() == 0) {
       throw RequestError("'inputs' must be a non-empty array");
     }
-    groups.push_back(inputs);
   } else {
-    if (!batches->is_array() || batches->size() == 0) {
+    if (!batches->is_array() || block.groups() == 0) {
       throw RequestError("'batches' must be a non-empty array");
     }
-    for (std::size_t b = 0; b < batches->size(); ++b) {
-      const Json& group = batches->at(b);
-      if (!group.is_array() || group.size() == 0) {
+    for (std::size_t b = 0; b < block.groups(); ++b) {
+      if (!block.is_array(b) || block.group_begin(b) == block.group_end(b)) {
         throw RequestError("batches[" + std::to_string(b) +
                            "] must be a non-empty array of minterm strings");
       }
-      groups.push_back(&group);
     }
   }
-  std::size_t total_rows = 0;
-  for (const Json* group : groups) {
-    total_rows += group->size();
-  }
+  const std::size_t total_rows = block.rows();
   if (total_rows > options_.max_eval_rows) {
     throw RequestError("request exceeds the per-request row cap (" +
                        std::to_string(options_.max_eval_rows) +
@@ -665,13 +723,22 @@ Json Service::handle_eval(const Json& request) {
   const std::size_t num_pis = model->circuit.num_pis();
   auto job = std::make_shared<EvalJob>();
   job->rows = total_rows;
-  job->columns.assign(num_pis, core::BitVec(total_rows));
-  std::size_t offset = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  const std::size_t bad = decode_minterm_rows(block, num_pis, &job->columns);
+  if (bad < total_rows) {
+    // Name the row within its own array: "inputs[r]" or "batches[g][r]".
+    std::size_t group = 0;
+    while (block.group_end(group) <= bad) {
+      ++group;
+    }
     const std::string where =
-        inputs != nullptr ? "inputs" : "batches[" + std::to_string(g) + "]";
-    parse_rows_into_columns(*groups[g], num_pis, offset, &job->columns, where);
-    offset += groups[g]->size();
+        (inputs != nullptr ? "inputs"
+                           : "batches[" + std::to_string(group) + "]") +
+        "[" + std::to_string(bad - block.group_begin(group)) + "]";
+    if (!block.is_string(bad) || block.row(bad).size() != num_pis) {
+      throw RequestError(where + " must be a " + std::to_string(num_pis) +
+                         "-character 0/1 string");
+    }
+    throw RequestError(where + " holds a character other than 0/1");
   }
 
   run_eval_job(id, *model, job);
@@ -689,18 +756,17 @@ Json Service::handle_eval(const Json& request) {
     r.set("outputs", std::move(out));
   } else {
     Json out_batches = Json::array();
-    offset = 0;
-    for (const Json* group : groups) {
-      const std::size_t rows = group->size();
+    for (std::size_t b = 0; b < block.groups(); ++b) {
+      const std::size_t begin = block.group_begin(b);
+      const std::size_t batch_rows = block.group_end(b) - begin;
       Json entry = Json::object();
-      entry.set("rows", static_cast<std::int64_t>(rows));
+      entry.set("rows", static_cast<std::int64_t>(batch_rows));
       Json out = Json::array();
       for (const core::BitVec& bits : job->outputs) {
-        out.push_back(Json(bits_to_string(bits, offset, rows)));
+        out.push_back(Json(bits_to_string(bits, begin, batch_rows)));
       }
       entry.set("outputs", std::move(out));
       out_batches.push_back(std::move(entry));
-      offset += rows;
     }
     r.set("batches", std::move(out_batches));
   }

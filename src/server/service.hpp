@@ -11,7 +11,12 @@
 //   eval   model id + minterm rows -> packed-simulation outputs. One
 //          request may carry many row batches ("batches"); they all ride
 //          one SimEngine sweep. Concurrent evals against the same model
-//          coalesce into shared sweeps (see "Batching" below).
+//          coalesce into shared sweeps (see "Batching" below). The rows
+//          never become Json values: the request parse packs them into a
+//          RowBlock (bytes back to back plus one end offset per row), and
+//          decode_minterm_rows transposes that block into PI columns, 64
+//          rows by 64 columns at a time. The row cap is checked on the row
+//          count before any column is allocated.
 //   synth  AIGER text + script string -> optimized AIGER + pass trace;
 //          script "auto" runs the per-circuit synth::ScriptSearch and the
 //          response names the winner (script + script_fp)
@@ -59,6 +64,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <list>
@@ -222,9 +228,16 @@ class Service {
     std::condition_variable cv;
   };
 
-  Json dispatch(const Json& request, const Deadline& deadline);
+  /// The minterm rows a request's parse sent past the Json tree.
+  struct EvalRows {
+    RowBlock inputs;   ///< top-level "inputs": one group
+    RowBlock batches;  ///< top-level "batches": one group per batch
+  };
+
+  Json dispatch(const Json& request, const EvalRows& rows,
+                const Deadline& deadline);
   Json handle_learn(const Json& request, const Deadline& deadline);
-  Json handle_eval(const Json& request);
+  Json handle_eval(const Json& request, const EvalRows& rows);
   Json handle_synth(const Json& request, const Deadline& deadline);
   Json handle_cec(const Json& request, const Deadline& deadline);
   Json handle_ping(const Json& request, const Deadline& deadline);
@@ -279,15 +292,28 @@ class Service {
   std::atomic<std::size_t> store_entries_{0};
   std::atomic<std::size_t> store_bytes_{0};
 
-  /// Telemetry side-channel: queue-wait and per-op latency histograms.
-  obs::Histogram queue_wait_us_;
-  std::array<obs::Histogram, kNumOps> op_us_;
+  /// Test seam: when set, an eval leader calls it before its first sweep,
+  /// so a test can hold the flight open until followers have queued.
+  std::function<void()> before_leader_sweep_;
+  friend struct ServiceTestAccess;
+
+  /// Telemetry side-channel: queue-wait and per-op latency histograms, in
+  /// nanoseconds.
+  obs::Histogram queue_wait_ns_;
+  std::array<obs::Histogram, kNumOps> op_ns_;
   /// Registry aliases for stats_ and the histograms above. Must stay the
   /// LAST members: destruction runs in reverse declaration order, so the
   /// registrations (which point into this object) leave the registry
   /// before anything they reference is torn down.
   std::vector<obs::Registry::Registration> metric_regs_;
 };
+
+/// Decodes every row of `rows` into `width` PI columns of rows.rows() bits:
+/// bit r of column c is character c of row r. Returns the first row that
+/// is not a `width`-character 0/1 string (the columns are then partly
+/// filled), or rows.rows() when every row is one.
+std::size_t decode_minterm_rows(const RowBlock& rows, std::size_t width,
+                                std::vector<core::BitVec>* columns);
 
 /// "m-<hex16>" spelling of a model content hash (and its inverse; false
 /// when `id` is not a well-formed model id).

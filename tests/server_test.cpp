@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "aig/aig.hpp"
 #include "aig/aig_io.hpp"
 #include "aig/aig_random.hpp"
+#include "aig/sim_engine.hpp"
 #include "core/rng.hpp"
 #include "obs/trace.hpp"
 #include "sat/cec.hpp"
@@ -28,14 +30,28 @@
 #include "server/json.hpp"
 #include "server/server.hpp"
 #include "server/service.hpp"
+#include "suite/result_cache.hpp"
 #include "synth/script.hpp"
 
 namespace lsml {
+namespace server {
+
+/// Reaches Service's private test seam.
+struct ServiceTestAccess {
+  static void set_before_leader_sweep(Service& service,
+                                      std::function<void()> hook) {
+    service.before_leader_sweep_ = std::move(hook);
+  }
+};
+
+}  // namespace server
 namespace {
 
 using server::Client;
 using server::Deadline;
 using server::Json;
+using server::RowBlock;
+using server::RowCapture;
 using server::Server;
 using server::ServerOptions;
 using server::Service;
@@ -141,6 +157,34 @@ TEST(JsonTest, PreservesMemberOrder) {
 TEST(JsonTest, ParsesEscapesAndUnicode) {
   const Json v = Json::parse(R"({"k":"aA\né 😀"})");
   EXPECT_EQ(v.at("k").as_string(), "aA\n\xc3\xa9 \xf0\x9f\x98\x80");
+}
+
+TEST(JsonTest, StringScanStopsAtEveryOffset) {
+  // Strings are scanned eight bytes at a time; a byte that ends the plain
+  // run must be found at every offset within and across those steps.
+  for (std::size_t len = 0; len < 20; ++len) {
+    for (std::size_t at = 0; at <= len; ++at) {
+      for (const char special : {'"', '\\', '\n', '\x1f', '\xc3'}) {
+        std::string text(len, 'a');
+        text.insert(at, 1, special);
+        ASSERT_EQ(Json::parse(Json(text).dump()).as_string(), text);
+      }
+      std::string raw(len + 2, '0');
+      raw.front() = '"';
+      raw.back() = '"';
+      raw[1 + at] = '\x01';
+      if (at < len) {
+        try {
+          (void)Json::parse(raw);
+          ADD_FAILURE() << "raw control byte at " << at << " accepted";
+        } catch (const server::JsonError& e) {
+          EXPECT_EQ(std::string(e.what()),
+                    "raw control character in string at byte " +
+                        std::to_string(at + 2));
+        }
+      }
+    }
+  }
 }
 
 TEST(JsonTest, RejectsMalformedInput) {
@@ -342,7 +386,18 @@ TEST(ServiceTest, EvalRowCapIsEnforced) {
     inputs.push_back(Json("11"));
   }
   request.set("inputs", std::move(inputs));
-  EXPECT_NE(handle(service, request).at("error").as_string().find("row cap"),
+  EXPECT_EQ(handle(service, request).at("error").as_string(),
+            "request exceeds the per-request row cap (3 rows summed over "
+            "batches)");
+
+  // The cap is checked on the row count, ahead of the rows' contents.
+  request.set("inputs", Json::array());
+  std::string line = request.dump();
+  line.replace(line.find("[]"), 2, "[\"11\",1,\"x\",[]]");
+  EXPECT_NE(Json::parse(service.handle_line(line))
+                .at("error")
+                .as_string()
+                .find("row cap"),
             std::string::npos);
 
   // The cap sums over "batches" too: 2 + 2 rows against a cap of 3.
@@ -392,6 +447,361 @@ TEST(ServiceTest, BatchesValidation) {
   holds_empty.push_back(Json::array());
   empty_batch.set("batches", std::move(holds_empty));
   EXPECT_FALSE(handle(service, empty_batch).at("ok").as_bool());
+}
+
+// ============================================ eval decoding against an oracle
+
+// The per-row eval path that packed decoding replaced, kept here as the
+// oracle: the whole request becomes a Json tree, the PI columns fill one
+// bit per row and column, and a SimEngine sweep of the model's circuit
+// gives the outputs. Its error texts are the service's.
+
+void parse_rows_into_columns(const Json& rows_json, std::size_t num_pis,
+                             std::size_t offset,
+                             std::vector<core::BitVec>* columns,
+                             const std::string& where) {
+  const std::size_t rows = rows_json.size();
+  for (std::size_t row = 0; row < rows; ++row) {
+    const Json& line = rows_json.at(row);
+    if (!line.is_string() || line.as_string().size() != num_pis) {
+      throw std::runtime_error(where + "[" + std::to_string(row) +
+                               "] must be a " + std::to_string(num_pis) +
+                               "-character 0/1 string");
+    }
+    const std::string& bits = line.as_string();
+    for (std::size_t col = 0; col < num_pis; ++col) {
+      if (bits[col] == '1') {
+        (*columns)[col].set(offset + row, true);
+      } else if (bits[col] != '0') {
+        throw std::runtime_error(where + "[" + std::to_string(row) +
+                                 "] holds a character other than 0/1");
+      }
+    }
+  }
+}
+
+std::string oracle_bits(const core::BitVec& bits, std::size_t offset,
+                        std::size_t rows) {
+  std::string text(rows, '0');
+  for (std::size_t row = 0; row < rows; ++row) {
+    if (bits.get(offset + row)) {
+      text[row] = '1';
+    }
+  }
+  return text;
+}
+
+Json oracle_eval(const Json& request,
+                 const std::map<std::string, aig::Aig>& models) {
+  const Json* model_field = request.find("model");
+  if (model_field == nullptr || !model_field->is_string()) {
+    throw std::runtime_error("request needs a string 'model' field");
+  }
+  const std::string& id = model_field->as_string();
+  const auto model = models.find(id);
+  if (model == models.end()) {
+    throw std::runtime_error("unknown model '" + id + "' (learn it first)");
+  }
+  const Json* inputs = request.find("inputs");
+  const Json* batches = request.find("batches");
+  if ((inputs == nullptr) == (batches == nullptr)) {
+    throw std::runtime_error(
+        "request needs exactly one of 'inputs' (an array of minterm "
+        "strings) or 'batches' (an array of such arrays)");
+  }
+  std::vector<const Json*> groups;
+  if (inputs != nullptr) {
+    if (!inputs->is_array() || inputs->size() == 0) {
+      throw std::runtime_error("'inputs' must be a non-empty array");
+    }
+    groups.push_back(inputs);
+  } else {
+    if (!batches->is_array() || batches->size() == 0) {
+      throw std::runtime_error("'batches' must be a non-empty array");
+    }
+    for (std::size_t b = 0; b < batches->size(); ++b) {
+      const Json& group = batches->at(b);
+      if (!group.is_array() || group.size() == 0) {
+        throw std::runtime_error(
+            "batches[" + std::to_string(b) +
+            "] must be a non-empty array of minterm strings");
+      }
+      groups.push_back(&group);
+    }
+  }
+  std::size_t total_rows = 0;
+  for (const Json* group : groups) {
+    total_rows += group->size();
+  }
+  const aig::Aig& circuit = model->second;
+  const std::size_t num_pis = circuit.num_pis();
+  std::vector<core::BitVec> columns(num_pis, core::BitVec(total_rows));
+  std::size_t offset = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::string where =
+        inputs != nullptr ? "inputs" : "batches[" + std::to_string(g) + "]";
+    parse_rows_into_columns(*groups[g], num_pis, offset, &columns, where);
+    offset += groups[g]->size();
+  }
+  std::vector<const core::BitVec*> ptrs;
+  for (const core::BitVec& column : columns) {
+    ptrs.push_back(&column);
+  }
+  aig::SimEngine engine(circuit);
+  engine.run(ptrs);
+  std::vector<core::BitVec> outputs;
+  engine.outputs_into(&outputs);
+
+  Json r = Json::object();
+  if (const Json* echo = request.find("id")) {
+    r.set("id", *echo);
+  }
+  r.set("ok", true);
+  r.set("type", "eval");
+  r.set("model", id);
+  r.set("rows", static_cast<std::int64_t>(total_rows));
+  if (inputs != nullptr) {
+    Json out = Json::array();
+    for (const core::BitVec& bits : outputs) {
+      out.push_back(Json(oracle_bits(bits, 0, total_rows)));
+    }
+    r.set("outputs", std::move(out));
+  } else {
+    Json out_batches = Json::array();
+    offset = 0;
+    for (const Json* group : groups) {
+      Json entry = Json::object();
+      entry.set("rows", static_cast<std::int64_t>(group->size()));
+      Json out = Json::array();
+      for (const core::BitVec& bits : outputs) {
+        out.push_back(Json(oracle_bits(bits, offset, group->size())));
+      }
+      entry.set("outputs", std::move(out));
+      out_batches.push_back(std::move(entry));
+      offset += group->size();
+    }
+    r.set("batches", std::move(out_batches));
+  }
+  return r;
+}
+
+/// The response line the per-row path gave for an eval request line.
+std::string oracle_response(const std::string& line,
+                            const std::map<std::string, aig::Aig>& models) {
+  Json request;
+  std::string error;
+  try {
+    request = Json::parse(line);
+    if (!request.is_object()) {
+      throw std::runtime_error("request must be a JSON object");
+    }
+    return oracle_eval(request, models).dump();
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  Json r = Json::object();
+  if (request.is_object()) {
+    if (const Json* echo = request.find("id")) {
+      r.set("id", *echo);
+    }
+  }
+  r.set("ok", false);
+  r.set("type", "error");
+  r.set("error", error);
+  return r.dump();
+}
+
+/// Seeded eval request lines written byte by byte, so they carry what a
+/// Json::dump never does: whitespace between tokens, escaped row
+/// characters, repeated members, and malformed rows.
+class EvalLineWriter {
+ public:
+  explicit EvalLineWriter(std::uint64_t seed) : rng_(seed) {}
+
+  std::string line(const std::string& model, std::size_t width) {
+    width_ = width;
+    fault_ = rng_.below(16);
+    std::string members;
+    const auto add = [&](const std::string& key, const std::string& value) {
+      if (!members.empty()) {
+        members += ws() + ",";
+      }
+      members += ws() + "\"" + key + "\"" + ws() + ":" + ws() + value;
+    };
+    if (rng_.below(4) == 0) {
+      add("id", std::to_string(rng_.below(1000)));
+    }
+    add("type", "\"eval\"");
+    add("model", fault_ == 1 ? "\"m-00000000000000ff\"" : "\"" + model + "\"");
+    const bool batched = rng_.below(2) == 0;
+    const std::string key = batched ? "batches" : "inputs";
+    if (fault_ == 2) {
+      // A repeated member: the last one wins, whatever the first held.
+      add(key, rng_.below(2) == 0 ? "7" : batched ? batches() : rows(5));
+    }
+    if (fault_ != 3) {
+      add(key, batched ? batches() : rows(1 + rng_.below(150)));
+    }
+    if (fault_ == 4) {
+      add(batched ? "inputs" : "batches", rows(1 + rng_.below(3)));
+    }
+    if (fault_ == 5) {
+      add(key, rng_.below(2) == 0 ? "7" : "\"01\"");
+    }
+    std::string text = ws() + "{" + members + ws() + "}" + ws();
+    if (fault_ == 6) {
+      text.resize(rng_.below(text.size()));  // a JSON error at some byte
+    }
+    return text;
+  }
+
+ private:
+  std::string ws() {
+    static const char* const kSpaces[] = {"", "", "", " ", "\t", " \r "};
+    return kSpaces[rng_.below(std::size(kSpaces))];
+  }
+
+  std::string row_text() {
+    std::size_t width = width_;
+    if (fault_ == 7 && rng_.below(40) == 0) {
+      width = rng_.below(2) == 0 ? width + 1 : width - 1;  // wrong length
+    }
+    std::string text = "\"";
+    for (std::size_t c = 0; c < width; ++c) {
+      const bool one = rng_.below(2) == 0;
+      if (fault_ == 8 && rng_.below(200) == 0) {
+        text += rng_.below(2) == 0 ? "2" : "\\u0041";  // not 0/1
+      } else if (rng_.below(30) == 0) {
+        text += one ? "\\u0031" : "\\u0030";  // escaped, still 0/1
+      } else {
+        text += one ? '1' : '0';
+      }
+    }
+    return text + "\"";
+  }
+
+  std::string element() {
+    if (fault_ == 9 && rng_.below(40) == 0) {
+      static const char* const kOthers[] = {"7", "null", "true", "[\"0\"]",
+                                            "{\"a\":1}"};
+      return kOthers[rng_.below(std::size(kOthers))];
+    }
+    return row_text();
+  }
+
+  std::string rows(std::size_t n) {
+    if (fault_ == 10 && rng_.below(4) == 0) {
+      return "[" + ws() + "]";
+    }
+    std::string text = "[";
+    for (std::size_t r = 0; r < n; ++r) {
+      text += ws() + element() + ws() + (r + 1 < n ? "," : "");
+    }
+    return text + "]";
+  }
+
+  std::string batches() {
+    const std::size_t n = fault_ == 11 && rng_.below(4) == 0
+                              ? 0
+                              : 1 + rng_.below(5);
+    std::string text = "[";
+    for (std::size_t b = 0; b < n; ++b) {
+      std::string batch = rows(1 + rng_.below(100));  // ragged
+      if (fault_ == 12 && rng_.below(3) == 0) {
+        batch = rng_.below(2) == 0 ? "\"01\"" : "[]";
+      }
+      text += ws() + batch + ws() + (b + 1 < n ? "," : "");
+    }
+    return text + "]";
+  }
+
+  core::Rng rng_;
+  std::size_t width_ = 0;
+  std::uint64_t fault_ = 0;
+};
+
+TEST(ServiceTest, DecodeMintermRowsMatchesPerBitFill) {
+  core::Rng rng(21);
+  for (std::size_t width = 0; width <= 70; ++width) {
+    for (const std::size_t rows : {1, 63, 64, 65, 200}) {
+      Json request = Json::object();
+      Json inputs = Json::array();
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::string row(width, '0');
+        for (char& c : row) {
+          c = (rng.next() & 1u) != 0 ? '1' : '0';
+        }
+        inputs.push_back(Json(std::move(row)));
+      }
+      request.set("inputs", std::move(inputs));
+      const std::string line = request.dump();
+      RowBlock block;
+      const RowCapture capture[] = {{"inputs", false, &block}};
+      Json::parse(line, capture);
+      std::vector<core::BitVec> columns;
+      ASSERT_EQ(server::decode_minterm_rows(block, width, &columns), rows);
+      std::vector<core::BitVec> expected(width, core::BitVec(rows));
+      parse_rows_into_columns(request.at("inputs"), width, 0, &expected,
+                              "inputs");
+      ASSERT_EQ(columns, expected) << width << " x " << rows;
+
+      // The first bad row, in row order, is the one reported.
+      if (width > 0) {
+        const std::size_t bad = rng.below(rows);
+        std::string broken = line;
+        const std::size_t at = broken.find('"', 11 + bad * (width + 3)) + 1;
+        broken[at + rng.below(width)] = '2';
+        Json::parse(broken, capture);
+        EXPECT_EQ(server::decode_minterm_rows(block, width, &columns), bad);
+      }
+    }
+  }
+}
+
+TEST(ServiceTest, EvalResponsesMatchTheJsonTreeOracle) {
+  ServiceOptions options;
+  options.cache_dir = temp_dir("eval_oracle");
+  Service service(options);
+  const suite::ResultCache cache(options.cache_dir);
+  std::map<std::string, aig::Aig> models;
+  std::vector<std::pair<std::string, std::size_t>> widths;
+  core::Rng rng(2021);
+  for (const std::size_t width : {1, 2, 7, 8, 9, 31, 64, 65, 70}) {
+    std::string pla = ".i " + std::to_string(width) + "\n.o 1\n";
+    for (int r = 0; r < 96; ++r) {
+      std::string row(width, '0');
+      for (char& c : row) {
+        c = (rng.next() & 1u) != 0 ? '1' : '0';
+      }
+      const bool label = (row[0] == '1') != (row[width - 1] == '1') ||
+                         row[width / 2] == '1';
+      pla += row + (label ? " 1\n" : " 0\n");
+    }
+    const Json learned = handle(service, learn_request(pla + ".e\n"));
+    ASSERT_TRUE(learned.at("ok").as_bool()) << learned.dump();
+    const std::string id = learned.at("model").as_string();
+    std::uint64_t hash = 0;
+    ASSERT_TRUE(server::model_hash_from_id(id, &hash));
+    const auto task = cache.load("models", id, hash);
+    ASSERT_TRUE(task.has_value());
+    std::istringstream aag(task->aag);
+    models.emplace(id, aig::read_aag(aag));
+    widths.emplace_back(id, width);
+  }
+
+  EvalLineWriter writer(7);
+  std::size_t ok = 0;
+  for (int i = 0; i < 2500; ++i) {
+    const auto& [id, width] =
+        widths[static_cast<std::size_t>(i) % widths.size()];
+    const std::string line = writer.line(id, width);
+    const std::string response = service.handle_line(line);
+    ASSERT_EQ(response, oracle_response(line, models)) << line;
+    ok += response.find("\"ok\":true") != std::string::npos ? 1 : 0;
+  }
+  // Both halves of the contract got exercised.
+  EXPECT_GT(ok, 500u);
+  EXPECT_LT(ok, 2000u);
 }
 
 // ====================================================== Service: happy path
@@ -483,14 +893,11 @@ TEST(ServiceTest, ConcurrentSameModelEvalsCoalesceIntoFewerSweeps) {
       learn_request(pla_for(4, [](std::uint32_t r) { return r % 5 == 2; })));
   ASSERT_TRUE(learned.at("ok").as_bool());
 
-  // A wide eval (32k rows) so each sweep leaves a real window for other
-  // requests to pile onto the flight.
-  constexpr std::size_t kRows = 32768;
   Json request = make_request("eval");
   request.set("model", learned.at("model").as_string());
   Json inputs = Json::array();
   core::Rng rng(3);
-  for (std::size_t i = 0; i < kRows; ++i) {
+  for (std::size_t i = 0; i < 300; ++i) {
     std::string row(4, '0');
     for (auto& c : row) {
       c = (rng.next() & 1u) != 0 ? '1' : '0';
@@ -500,46 +907,43 @@ TEST(ServiceTest, ConcurrentSameModelEvalsCoalesceIntoFewerSweeps) {
   request.set("inputs", std::move(inputs));
   const std::string line = request.dump();
   const std::string baseline = service.handle_line(line);
+  const std::uint64_t evals0 = service.stats().evals.load();
+  const std::uint64_t sweeps0 = service.stats().eval_sweeps.load();
 
-  // Coalescing depends on real overlap, so storm in rounds (with a start
-  // barrier each round) until a shared sweep is observed; each round
-  // re-checks the byte-identity contract unconditionally.
+  // The storm's first leader holds its flight open until every other
+  // thread has queued behind it, so the overlap is certain, not timed.
   constexpr int kThreads = 16;
-  constexpr int kIters = 4;
-  constexpr int kMaxRounds = 10;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    std::vector<std::vector<std::string>> responses(kThreads);
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        ready.fetch_add(1);
-        while (ready.load() < kThreads) {
-        }
-        for (int i = 0; i < kIters; ++i) {
-          responses[t].push_back(service.handle_line(line));
-        }
-      });
+  std::atomic<bool> held{false};
+  server::ServiceTestAccess::set_before_leader_sweep(service, [&] {
+    if (held.exchange(true)) {
+      return;
     }
-    for (auto& thread : threads) {
-      thread.join();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.stats().eval_coalesced.load() < kThreads - 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
     }
-    // Coalescing must never change a byte of any response...
-    for (int t = 0; t < kThreads; ++t) {
-      for (const std::string& response : responses[t]) {
-        ASSERT_EQ(response, baseline) << "round " << round;
-      }
-    }
-    if (service.stats().eval_sweeps.load() < service.stats().evals.load()) {
-      break;
-    }
+  });
+  std::vector<std::string> responses(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(
+        [&, t] { responses[t] = service.handle_line(line); });
   }
-  // ...only how many sweeps served them: the storm rode shared sweeps.
-  const std::uint64_t evals = service.stats().evals.load();
-  const std::uint64_t sweeps = service.stats().eval_sweeps.load();
-  EXPECT_LT(sweeps, evals);
-  EXPECT_GE(service.stats().eval_coalesced.load(), evals - sweeps);
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  // Coalescing never changes a byte of any response...
+  for (const std::string& response : responses) {
+    EXPECT_EQ(response, baseline);
+  }
+  // ...only how many sweeps served them: the leader's own, then one
+  // combined sweep for all fifteen followers.
+  EXPECT_EQ(service.stats().evals.load() - evals0, kThreads);
+  EXPECT_EQ(service.stats().eval_coalesced.load(), kThreads - 1u);
+  EXPECT_EQ(service.stats().eval_sweeps.load() - sweeps0, 2u);
 }
 
 TEST(ServiceTest, CoalescingOffRunsOneSweepPerEval) {
@@ -891,9 +1295,9 @@ TEST(ServiceTest, MetricsOpExposesPrometheusFamilies) {
   // learn above guarantees each is non-trivial.
   EXPECT_NE(text.find("# TYPE lsml_server_requests_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE lsml_server_op_us histogram"),
+  EXPECT_NE(text.find("# TYPE lsml_server_op_ns histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("lsml_server_op_us_count{op=\"learn\"} 1"),
+  EXPECT_NE(text.find("lsml_server_op_ns_count{op=\"learn\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("lsml_synth_runs_total"), std::string::npos);
   EXPECT_NE(text.find("lsml_server_models_cached 1"), std::string::npos);
