@@ -20,10 +20,13 @@
 // Output: one table row per connection count with req/s and p50/p95/p99
 // latency under saturation, a greppable `serve-bench:` summary line per
 // row, and the 1->8 connection scaling factor. `--json FILE` snapshots the
-// table; `--check FILE` compares the run against such a snapshot and fails
-// (exit 1) when req/s drops or p99 grows by more than `--max-regress`
-// (default 0.25) at any connection count — the nightly perf gate against
-// the committed BENCH_serve.json.
+// table together with a `host` object (nproc, CPU model, SIMD backend,
+// build type, compiler); `--check FILE` compares the run against such a
+// snapshot and fails (exit 1) when req/s drops or p99 grows by more than
+// `--max-regress` (default 0.25) at any connection count — the nightly
+// perf gate against the committed BENCH_serve.json. It refuses (exit 1,
+// before measuring) a snapshot whose host differs from this one: numbers
+// from other hardware or another build say nothing about a regression.
 //
 //   bench_serve [--connect H:P] [--threads N] [--duration-s D]
 //               [--conns 1,8,64,...] [--rows R] [--mode eval|ping]
@@ -56,6 +59,7 @@
 #include "core/config.hpp"
 #include "core/event_loop.hpp"
 #include "core/rng.hpp"
+#include "core/simd.hpp"
 #include "obs/registry.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
@@ -448,6 +452,62 @@ RoundResult run_round(const std::string& host, int port,
 
 // ------------------------------------------------------------- snapshots
 
+/// What the figures depend on besides the code: the machine and the build.
+server::Json host_info() {
+  std::string cpu = "?";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  server::Json host = server::Json::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu", cpu);
+  host.set("simd", core::simd::ops().name);
+  host.set("build", LSML_BUILD_TYPE);
+  host.set("compiler", LSML_COMPILER);
+  return host;
+}
+
+server::Json read_snapshot(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_serve: cannot read %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  try {
+    return server::Json::parse(buffer.str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_serve: bad snapshot %s: %s\n", path.c_str(),
+                 e.what());
+    std::exit(1);
+  }
+}
+
+/// Refuses a snapshot recorded on another host (or before snapshots
+/// carried one).
+void require_same_host(const std::string& path,
+                       const server::Json& snapshot) {
+  const server::Json here = host_info();
+  const server::Json* recorded = snapshot.find("host");
+  if (recorded != nullptr && recorded->dump() == here.dump()) {
+    return;
+  }
+  std::fprintf(stderr,
+               "bench_serve: %s was recorded on another host; re-record it "
+               "here with --json\n  snapshot: %s\n  this run: %s\n",
+               path.c_str(),
+               recorded != nullptr ? recorded->dump().c_str() : "(none)",
+               here.dump().c_str());
+  std::exit(1);
+}
+
 /// Histogram summary for the snapshot's `obs` block: count plus
 /// bucket-interpolated p50/p99 and the exact mean, in nanoseconds like
 /// every histogram it summarizes.
@@ -468,6 +528,7 @@ void write_snapshot(const std::string& path, const Options& options,
   root.set("mode", options.mode);
   root.set("rows", static_cast<std::int64_t>(options.rows));
   root.set("duration_s", options.duration_s);
+  root.set("host", host_info());
   if (in_process) {
     // Server-side telemetry is only visible when the server lives in this
     // process; under --connect the registry belongs to the remote daemon.
@@ -483,9 +544,6 @@ void write_snapshot(const std::string& path, const Options& options,
     if (const auto s = reg.histogram_snapshot("lsml_sim_sweep_ns")) {
       ob.set("sweep_ns", summarize_histogram(*s));
     }
-    ob.set("eval_coalesced",
-           static_cast<std::int64_t>(
-               reg.counter_value("lsml_server_eval_coalesced_total")));
     ob.set("backpressure_pauses",
            static_cast<std::int64_t>(reg.counter_value(
                "lsml_server_backpressure_pauses_total")));
@@ -515,23 +573,9 @@ void write_snapshot(const std::string& path, const Options& options,
 /// Gates this run against a committed snapshot: req/s may not drop, and
 /// p99 may not grow, by more than `max_regress` at any shared connection
 /// count. Returns the number of violations.
-int check_snapshot(const std::string& path, double max_regress,
+int check_snapshot(const std::string& path, const server::Json& baseline,
+                   double max_regress,
                    const std::vector<RoundResult>& results) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_serve: cannot read %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  server::Json baseline;
-  try {
-    baseline = server::Json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_serve: bad snapshot %s: %s\n", path.c_str(),
-                 e.what());
-    std::exit(1);
-  }
   int violations = 0;
   const server::Json& rows = baseline.at("results");
   std::printf("\nchecking against %s (max regression %.0f%%)\n", path.c_str(),
@@ -576,6 +620,11 @@ int main(int argc, char** argv) {
     max_conns = std::max(max_conns, c);
   }
   raise_fd_limit(max_conns);
+  server::Json baseline;
+  if (!options.check_path.empty()) {
+    baseline = read_snapshot(options.check_path);
+    require_same_host(options.check_path, baseline);
+  }
 
   // The target server: external (--connect) or in-process.
   std::unique_ptr<server::Server> local;
@@ -691,8 +740,8 @@ int main(int argc, char** argv) {
   }
   int violations = 0;
   if (!options.check_path.empty()) {
-    violations = check_snapshot(options.check_path, options.max_regress,
-                                results);
+    violations = check_snapshot(options.check_path, baseline,
+                                options.max_regress, results);
     if (violations == 0) {
       std::printf("perf check passed\n");
     } else {

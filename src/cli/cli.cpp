@@ -41,6 +41,7 @@
 
 #include "aig/aig_io.hpp"
 #include "core/config.hpp"
+#include "core/thread_pool.hpp"
 #include "learn/factory.hpp"
 #include "obs/trace.hpp"
 #include "pla/pla.hpp"
@@ -118,7 +119,8 @@ constexpr const char* kUsage =
     "      --host H             bind address              [127.0.0.1]\n"
     "      --port P             TCP port (0 = ephemeral)  [7333]\n"
     "      --stdio              serve stdin/stdout instead of TCP\n"
-    "      --threads N          worker pool (0 = hardware) [0]\n"
+    "      --threads N          heavy-op pool (0 = hardware; N + 1 event\n"
+    "                           loops answer evals)       [0]\n"
     "      --max-request-bytes N  per-request line cap    [8388608]\n"
     "      --max-connections N  concurrent-connection cap (0 = off) [0]\n"
     "      --models N           in-memory LRU model slots [64]\n"
@@ -894,11 +896,13 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   server::Server server(options);
   server.start();
-  std::printf("lsml serve: listening on %s:%d (%s workers, opt %s%s)\n",
-              options.host.c_str(), server.port(),
-              options.num_threads == 0
-                  ? "hardware"
-                  : std::to_string(options.num_threads).c_str(),
+  const std::size_t workers =
+      options.num_threads > 0
+          ? static_cast<std::size_t>(options.num_threads)
+          : core::ThreadPool::default_num_threads();
+  std::printf("lsml serve: listening on %s:%d (%zu event loops, %zu pool "
+              "workers, opt %s%s)\n",
+              options.host.c_str(), server.port(), workers + 1, workers,
               request.script_display().c_str(),
               request.options.verify_equivalence ? ", --verify" : "");
   if (!options.service.cache_dir.empty()) {

@@ -101,83 +101,105 @@ void Server::start() {
   pool_ = std::make_unique<core::ThreadPool>(
       options_.num_threads > 0 ? static_cast<std::size_t>(options_.num_threads)
                                : 0);
-  loop_ = std::make_unique<core::EventLoop>();
-  draining_ = false;
-  drained_ = false;
+  loops_.clear();
+  for (std::size_t i = 0; i <= pool_->num_threads(); ++i) {
+    loops_.push_back(std::make_unique<Loop>());
+  }
+  open_conns_.store(0);
+  next_conn_id_ = 0;
+  loops_drained_ = 0;
   running_.store(true);
-  loop_thread_ = std::thread([this] { loop_main(); });
+  for (const auto& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { loop_main(*l); });
+  }
 }
 
-void Server::loop_main() {
-  loop_->add(listen_fd_, core::EventLoop::kRead,
-             [this](std::uint32_t) { on_listen_ready(); });
-  loop_->run();
+void Server::loop_main(Loop& loop) {
+  if (&loop == loops_.front().get()) {
+    loop.events.add(listen_fd_, core::EventLoop::kRead,
+                    [this](std::uint32_t) { on_listen_ready(); });
+  }
+  loop.events.run();
   // Anything still registered when the loop exits (force-closed drain
   // path) is torn down here, on the loop thread, after run() returned.
-  for (auto& [id, conn] : conns_) {
+  for (auto& [id, conn] : loop.conns) {
     ::close(conn->fd);
   }
-  conns_.clear();
+  loop.conns.clear();
 }
 
 void Server::stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  // Phase 1 — drain: stop accepting, stop reading, let in-flight requests
-  // finish and their responses flush.
-  loop_->post([this] {
-    draining_ = true;
-    if (listen_fd_ >= 0) {
-      loop_->remove(listen_fd_);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    for (auto& [id, conn] : conns_) {
-      conn->read_open = false;
-      conn->read_buf.clear();  // partial lines are dropped, as before
-      update_read_interest(*conn);
-    }
-    // Close everything already idle; what stays is busy or flushing.
-    std::vector<std::uint64_t> idle;
-    for (auto& [id, conn] : conns_) {
-      if (finished(*conn)) {
-        idle.push_back(id);
-      }
-    }
-    for (const std::uint64_t id : idle) {
-      close_conn(id);
-    }
-    maybe_finish_drain();
-  });
+  // Phase 1 — drain: stop accepting, stop reading, let queued and
+  // in-flight requests finish and their responses flush. Loop 0 posts the
+  // drain to every loop after its own connection hand-offs, so no
+  // connection reaches a loop after that loop drained.
+  loops_.front()->events.post([this] { begin_drain(); });
   {
     std::unique_lock<std::mutex> lock(drain_mutex_);
     drain_cv_.wait_for(lock, std::chrono::milliseconds(options_.drain_ms),
-                       [this] { return drained_; });
+                       [this] { return loops_drained_ == loops_.size(); });
   }
   // Phase 2 — whatever outlived the drain window (stalled reader, runaway
   // request) is cut off; its worker's late response is dropped harmlessly.
-  loop_->post([this] {
-    std::vector<std::uint64_t> ids;
-    ids.reserve(conns_.size());
-    for (auto& [id, conn] : conns_) {
-      ids.push_back(id);
+  // The stop goes through loop 0 for the same ordering reason.
+  loops_.front()->events.post([this] {
+    for (const auto& loop : loops_) {
+      loop->events.post([this, l = loop.get()] {
+        while (!l->conns.empty()) {
+          close_conn(*l->conns.begin()->second);
+        }
+        l->events.stop();
+      });
     }
-    for (const std::uint64_t id : ids) {
-      close_conn(id);
-    }
-    loop_->stop();
   });
-  loop_->stop();
-  if (loop_thread_.joinable()) {
-    loop_thread_.join();
+  for (const auto& loop : loops_) {
+    loop->thread.join();
   }
-  pool_.reset();  // drains in-flight work; late posts land in a dead loop
-  loop_.reset();
+  pool_.reset();  // drains in-flight work; late posts land in dead loops
+  loops_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+}
+
+void Server::begin_drain() {
+  loops_.front()->events.remove(listen_fd_);
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  for (const auto& loop : loops_) {
+    loop->events.post([this, l = loop.get()] { drain_loop(*l); });
+  }
+}
+
+void Server::drain_loop(Loop& loop) {
+  loop.draining = true;
+  std::vector<Conn*> conns;
+  for (auto& [id, conn] : loop.conns) {
+    conns.push_back(conn.get());
+  }
+  for (Conn* conn : conns) {
+    conn->read_open = false;
+    conn->read_buf.clear();  // partial lines are dropped, as before
+    update_interest(*conn);
+    settle(*conn);  // closes what is already idle
+  }
+  maybe_finish_drain(loop);
+}
+
+void Server::maybe_finish_drain(Loop& loop) {
+  if (!loop.draining || loop.drain_reported || !loop.conns.empty()) {
+    return;
+  }
+  loop.drain_reported = true;
+  {
+    std::lock_guard<std::mutex> lock(drain_mutex_);
+    ++loops_drained_;
+  }
+  drain_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------- accept
@@ -204,8 +226,10 @@ void Server::on_listen_ready() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.send_buffer_bytes,
                    sizeof options_.send_buffer_bytes);
     }
+    // Only this thread admits connections, so the load-then-add below
+    // cannot over-admit; other loops only ever lower the count.
     if (options_.max_connections > 0 &&
-        conns_.size() >= options_.max_connections) {
+        open_conns_.load() >= options_.max_connections) {
       stats_.over_connection_cap.fetch_add(1, std::memory_order_relaxed);
       Json r = Json::object();
       r.set("ok", false);
@@ -219,26 +243,35 @@ void Server::on_listen_ready() {
       ::close(fd);
       continue;
     }
+    open_conns_.fetch_add(1);
     stats_.connections.fetch_add(1, std::memory_order_relaxed);
     if (options_.verbosity >= 1) {
       std::fprintf(stderr, "lsml serve: connection from %s:%d\n",
                    inet_ntoa(peer.sin_addr), ntohs(peer.sin_port));
     }
-    auto conn = std::make_unique<Conn>();
-    conn->id = next_conn_id_++;
-    conn->fd = fd;
-    const std::uint64_t id = conn->id;
-    conns_.emplace(id, std::move(conn));
-    loop_->add(fd, core::EventLoop::kRead,
-               [this, id](std::uint32_t ready) { on_conn_event(id, ready); });
+    const std::uint64_t id = next_conn_id_++;
+    Loop& owner = *loops_[id % loops_.size()];
+    owner.events.post([this, &owner, id, fd] { adopt(owner, id, fd); });
   }
+}
+
+void Server::adopt(Loop& loop, std::uint64_t id, int fd) {
+  auto conn = std::make_unique<Conn>();
+  conn->loop = &loop;
+  conn->id = id;
+  conn->fd = fd;
+  loop.conns.emplace(id, std::move(conn));
+  loop.events.add(fd, core::EventLoop::kRead,
+                  [this, &loop, id](std::uint32_t ready) {
+                    on_conn_event(loop, id, ready);
+                  });
 }
 
 // ------------------------------------------------------------ connection
 
-void Server::on_conn_event(std::uint64_t id, std::uint32_t ready) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) {
+void Server::on_conn_event(Loop& loop, std::uint64_t id, std::uint32_t ready) {
+  const auto it = loop.conns.find(id);
+  if (it == loop.conns.end()) {
     return;
   }
   Conn& conn = *it->second;
@@ -246,25 +279,19 @@ void Server::on_conn_event(std::uint64_t id, std::uint32_t ready) {
     // EPOLLERR/EPOLLHUP: the peer is gone in both directions — nothing we
     // still hold can be delivered. A busy worker's response is dropped
     // when its post() fails to find the id.
-    close_conn(id);
+    close_conn(conn);
     return;
   }
   if ((ready & core::EventLoop::kWrite) != 0) {
-    handle_writable(conn);
-    if (conns_.find(id) == conns_.end()) {
-      return;  // fatal write error closed it
-    }
+    flush(conn);
   }
   if ((ready & core::EventLoop::kRead) != 0 && conn.read_open &&
       !conn.read_paused) {
     handle_readable(conn);
-    if (conns_.find(id) == conns_.end()) {
-      return;
-    }
   }
-  if (finished(conn)) {
-    close_conn(id);
-  }
+  run_queued(conn);
+  flush(conn);
+  settle(conn);
 }
 
 void Server::handle_readable(Conn& conn) {
@@ -274,21 +301,12 @@ void Server::handle_readable(Conn& conn) {
   while (true) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
     if (n > 0) {
-      const std::uint64_t id = conn.id;
       frame_data(conn, chunk, static_cast<std::size_t>(n));
-      // The oversized-reject path inside frame_data may flush and close
-      // the connection synchronously; only touch it again if it is still
-      // here.
-      const auto it = conns_.find(id);
-      if (it != conns_.end()) {
-        dispatch_next(*it->second);
-      }
       return;
     }
     if (n == 0) {
       conn.read_open = false;  // orderly EOF; partial line is dropped
       conn.read_buf.clear();
-      update_read_interest(conn);
       return;
     }
     if (errno == EINTR) {
@@ -300,7 +318,6 @@ void Server::handle_readable(Conn& conn) {
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
     conn.read_open = false;
     conn.read_buf.clear();
-    update_read_interest(conn);
     return;
   }
 }
@@ -317,7 +334,7 @@ bool Server::take_line(Conn& conn, std::string line) {
     reject_oversized(conn);
     return false;
   }
-  conn.pending.emplace_back(std::move(line), std::chrono::steady_clock::now());
+  conn.pending.push_back({std::move(line), std::chrono::steady_clock::now()});
   return true;
 }
 
@@ -345,7 +362,7 @@ void Server::frame_data(Conn& conn, const char* data, std::size_t len) {
     conn.read_buf.clear();
     line.append(data, idx);
     if (!take_line(conn, std::move(line))) {
-      return;  // rejected: conn may already be gone
+      return;
     }
     start = idx + 1;
   }
@@ -371,11 +388,10 @@ void Server::reject_oversized(Conn& conn) {
   stats_.oversized_rejects.fetch_add(1, std::memory_order_relaxed);
   conn.read_open = false;
   conn.read_buf.clear();  // nothing past the poison line is trusted
-  conn.oversized = true;
-  update_read_interest(conn);
   // Requests framed before the poison line still get their responses (the
-  // historical serial behavior); the error line goes out after them.
-  maybe_send_reject(conn);
+  // historical serial behavior); run_queued sends the error line after
+  // them.
+  conn.oversized = true;
 }
 
 void Server::maybe_send_reject(Conn& conn) {
@@ -384,73 +400,83 @@ void Server::maybe_send_reject(Conn& conn) {
     return;
   }
   conn.close_after_flush = true;
-  queue_response_bytes(conn, oversized_error_line(options_.max_request_bytes));
+  conn.write_buf += oversized_error_line(options_.max_request_bytes);
 }
 
-void Server::dispatch_next(Conn& conn) {
-  if (conn.busy || conn.pending.empty()) {
-    return;
+void Server::run_queued(Conn& conn) {
+  conn.yielded = false;
+  std::size_t spent = 0;
+  while (!conn.busy && !conn.pending.empty() && !conn.broken) {
+    if (conn.write_buf.size() - conn.write_off >
+        options_.write_high_water_bytes) {
+      // A reader this far behind gets no new replies until it catches up;
+      // write readiness resumes the queue.
+      flush(conn);
+      if (conn.write_buf.size() - conn.write_off >
+          options_.write_high_water_bytes) {
+        break;
+      }
+    }
+    if (spent >= kTurnBytes) {
+      conn.yielded = true;  // write readiness brings the next turn
+      break;
+    }
+    Pending next = std::move(conn.pending.front());
+    conn.pending.pop_front();
+    spent += next.line.size();
+    if (next.line.size() > kInlineLineBytes) {
+      to_pool(conn, [this, next = std::move(next)] {
+        return service_.handle_line(next.line, next.received_at);
+      });
+      break;
+    }
+    Service::Request request = service_.parse(next.line, next.received_at);
+    if (!request.light()) {
+      to_pool(conn, [this, request = std::move(request)] {
+        return service_.execute(request);
+      });
+      break;
+    }
+    conn.write_buf += service_.execute(request);
+    conn.write_buf.push_back('\n');
   }
+  maybe_send_reject(conn);
+}
+
+template <typename Work>
+void Server::to_pool(Conn& conn, Work work) {
   conn.busy = true;
-  std::string line = std::move(conn.pending.front().first);
-  const auto received_at = conn.pending.front().second;
-  conn.pending.pop_front();
+  Loop& loop = *conn.loop;
   const std::uint64_t id = conn.id;
-  // The worker computes off-loop; only the post() hop touches loop state.
-  // Dropping the future is safe: handle_line never throws.
-  (void)pool_->submit([this, id, line = std::move(line), received_at] {
-    std::string response = service_.handle_line(line, received_at);
-    loop_->post([this, id, response = std::move(response)]() mutable {
-      finish_request(id, std::move(response));
+  // Dropping the future is safe: execute never throws.
+  (void)pool_->submit([this, &loop, id, work = std::move(work)] {
+    loop.events.post([this, &loop, id, response = work()]() mutable {
+      finish_pooled(loop, id, std::move(response));
     });
   });
 }
 
-void Server::finish_request(std::uint64_t id, std::string response) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) {
+void Server::finish_pooled(Loop& loop, std::uint64_t id,
+                           std::string response) {
+  const auto it = loop.conns.find(id);
+  if (it == loop.conns.end()) {
     return;  // connection died while the worker computed
   }
   Conn& conn = *it->second;
   conn.busy = false;
-  response.push_back('\n');
-  queue_response_bytes(conn, std::move(response));
-  if (conns_.find(id) == conns_.end()) {
-    return;  // fatal write error
-  }
-  dispatch_next(conn);
-  maybe_send_reject(conn);
-  if (conns_.find(id) == conns_.end()) {
-    return;  // reject flushed instantly and closed the connection
-  }
-  if (finished(conn)) {
-    close_conn(id);
-    return;
-  }
-  if (draining_) {
-    maybe_finish_drain();
-  }
-}
-
-void Server::queue_response_bytes(Conn& conn, std::string bytes) {
-  if (conn.write_buf.empty()) {
-    conn.write_buf = std::move(bytes);
-    conn.write_off = 0;
-  } else {
-    conn.write_buf.append(bytes);
-  }
+  conn.write_buf += response;
+  conn.write_buf.push_back('\n');
+  run_queued(conn);
   flush(conn);
+  settle(conn);
 }
-
-void Server::handle_writable(Conn& conn) { flush(conn); }
 
 void Server::flush(Conn& conn) {
   // Span only when there are bytes to move (flush is also called to
   // re-evaluate interest with an empty buffer).
   obs::ScopedSpan write_span(
       conn.write_off < conn.write_buf.size() ? "write" : nullptr, "server");
-  bool fatal = false;
-  while (conn.write_off < conn.write_buf.size()) {
+  while (conn.write_off < conn.write_buf.size() && !conn.broken) {
     const ssize_t n =
         ::send(conn.fd, conn.write_buf.data() + conn.write_off,
                conn.write_buf.size() - conn.write_off, MSG_NOSIGNAL);
@@ -465,12 +491,7 @@ void Server::flush(Conn& conn) {
       break;
     }
     stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
-    fatal = true;
-    break;
-  }
-  if (fatal) {
-    close_conn(conn.id);
-    return;
+    conn.broken = true;
   }
   if (conn.write_off >= conn.write_buf.size()) {
     conn.write_buf.clear();
@@ -490,53 +511,42 @@ void Server::flush(Conn& conn) {
              unsent <= options_.write_high_water_bytes / 2) {
     conn.read_paused = false;
   }
-  update_read_interest(conn);
-  if (unsent == 0 && conn.close_after_flush) {
-    close_conn(conn.id);
-  }
+  update_interest(conn);
 }
 
-void Server::update_read_interest(Conn& conn) {
+void Server::update_interest(Conn& conn) {
   std::uint32_t interest = 0;
   if (conn.read_open && !conn.read_paused && !conn.close_after_flush) {
     interest |= core::EventLoop::kRead;
   }
-  if (conn.write_off < conn.write_buf.size()) {
+  // A connected socket reports write readiness on the next epoll cycle,
+  // which is how a connection that yielded its turn gets the next one.
+  if (conn.write_off < conn.write_buf.size() || conn.yielded) {
     interest |= core::EventLoop::kWrite;
   }
-  loop_->set_interest(conn.fd, interest);
+  conn.loop->events.set_interest(conn.fd, interest);
 }
 
-bool Server::finished(const Conn& conn) {
+void Server::settle(Conn& conn) {
   const bool write_done = conn.write_off >= conn.write_buf.size();
-  if (conn.close_after_flush) {
-    return write_done && !conn.busy;
-  }
-  return !conn.read_open && !conn.busy && conn.pending.empty() && write_done;
-}
-
-void Server::close_conn(std::uint64_t id) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    return;
-  }
-  loop_->remove(it->second->fd);
-  ::close(it->second->fd);
-  conns_.erase(it);
-  if (draining_) {
-    maybe_finish_drain();
+  const bool done =
+      conn.broken ||
+      (conn.close_after_flush
+           ? write_done && !conn.busy
+           : !conn.read_open && !conn.busy && conn.pending.empty() &&
+                 write_done);
+  if (done) {
+    close_conn(conn);
   }
 }
 
-void Server::maybe_finish_drain() {
-  if (!conns_.empty()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drained_ = true;
-  }
-  drain_cv_.notify_all();
+void Server::close_conn(Conn& conn) {
+  Loop& loop = *conn.loop;
+  loop.events.remove(conn.fd);
+  ::close(conn.fd);
+  loop.conns.erase(conn.id);  // destroys conn
+  open_conns_.fetch_sub(1);
+  maybe_finish_drain(loop);
 }
 
 }  // namespace lsml::server

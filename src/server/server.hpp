@@ -3,28 +3,36 @@
 //
 // One daemon, three moving parts:
 //
-//   event loop    one core::EventLoop thread owns every socket: it accepts
-//                 connections, reads nonblocking, frames bytes into
-//                 newline-delimited request lines, and flushes response
-//                 bytes back. No thread is ever parked on one connection,
-//                 so thousands of idle or slow clients cost four kilobytes
-//                 of buffer each, not a stack.
-//   worker pool   the existing core::ThreadPool. Every framed request line
-//                 is submitted as one task; its completion is posted back
-//                 to the loop, which serializes the response onto the
-//                 connection. One request per connection is in flight at a
-//                 time, so requests on one connection stay FIFO (and keep
-//                 the historical serial semantics) while CPU-bound work
-//                 across connections is capped at the pool width.
+//   event loops   num_threads + 1 core::EventLoop threads, one per core
+//                 the daemon may keep busy. Loop 0 also accepts: it hands
+//                 each connection to loop `id % loops` with a post(), and
+//                 from then on that loop alone owns the connection's
+//                 socket, buffers, FIFO request queue and backpressure. A
+//                 loop frames newline-delimited request lines, parses each
+//                 once, and answers the light ones (eval, stats, metrics,
+//                 a ping without sleep_ms) in place, writing the reply
+//                 without any cross-thread hop. No thread is ever parked
+//                 on one connection, so thousands of idle or slow clients
+//                 cost four kilobytes of buffer each, not a stack.
+//   worker pool   a core::ThreadPool of num_threads workers.
+//                 Heavy requests (learn, synth, cec, a sleeping ping) and
+//                 any line over kInlineLineBytes go there, the parsed
+//                 request handed over as is; the reply is posted back to
+//                 the owning loop. While one is out, the connection's
+//                 later lines wait, so requests on one connection stay
+//                 FIFO, and heavy work is capped at the pool width.
 //   service       server::Service — the transport-agnostic request
-//                 handler, with its own batching and sharded model store
-//                 (see service.hpp).
+//                 handler with its sharded model store (see service.hpp).
+//
+// A loop runs a connection's queued lines iteratively, in order, and
+// yields after kTurnBytes of request text so other connections on the
+// same loop get their turn during a pipelined burst.
 //
 // Backpressure: a connection whose write buffer climbs past
-// `write_high_water_bytes` (a slow or stalled reader) stops being read
-// until the buffer drains below the mark again — the daemon's memory per
-// connection stays bounded by high-water + max_request_bytes no matter
-// what the peer does.
+// `write_high_water_bytes` (a slow or stalled reader) stops being read,
+// and stops running queued lines, until the buffer drains again — the
+// daemon's memory per connection stays bounded by high-water +
+// max_request_bytes no matter what the peer does.
 //
 // Robustness contract (pinned by tests/server_test.cpp): a malformed line
 // gets an error response and the connection lives on; a line that grows
@@ -32,14 +40,16 @@
 // closed (the only way to bound memory without trusting the client); a
 // client that disconnects or half-closes mid-request affects nothing but
 // its own connection (a half-closed peer still receives every response it
-// was owed). stop() drains: it stops accepting, lets in-flight requests
-// finish and their responses flush for up to `drain_ms`, then force-closes
-// whatever is left.
+// was owed). `max_connections` is one count across all loops. stop()
+// drains every loop: it stops accepting, lets queued and in-flight
+// requests finish and their responses flush for up to `drain_ms`, then
+// force-closes whatever is left.
 //
 // Binding port 0 picks an ephemeral port, readable via port() — how tests
 // and the bench run many servers without colliding.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -60,6 +70,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral (see Server::port())
   /// Worker pool width, ThreadPool convention: 0 = hardware concurrency.
+  /// The server runs this many + 1 event loops.
   int num_threads = 0;
   /// Hard cap on one request line; longer requests are rejected and the
   /// connection closed. 0 disables the cap (tests only).
@@ -101,13 +112,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the event-loop thread. Throws
+  /// Binds, listens, and spawns the pool and the event-loop threads. Throws
   /// std::runtime_error (with errno context) when the address cannot be
   /// bound.
   void start();
 
   /// Stops accepting, drains in-flight requests (up to drain_ms), closes
-  /// every connection, joins the loop and the pool. Idempotent; called by
+  /// every connection, joins the loops and the pool. Idempotent; called by
   /// the destructor.
   void stop();
 
@@ -119,50 +130,86 @@ class Server {
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
  private:
-  /// Everything the loop knows about one connection. Touched only on the
-  /// loop thread; workers reach it exclusively through posted tasks that
-  /// re-look it up by id (the connection may be gone by then).
+  /// Request lines longer than this are parsed and answered on the pool,
+  /// never on a loop, so no line holds a loop for much over a
+  /// millisecond. A 4096-row, 32-input eval (about 140 KB) stays on its
+  /// loop: measured in perfbench `serve`, those evals ran 25–33M rows/s
+  /// inline and 16–27M rows/s with a 64 KiB bound that pooled them.
+  static constexpr std::size_t kInlineLineBytes = 256u << 10;
+  /// Request bytes a loop runs for one connection before it lets the
+  /// loop's other connections have a turn (one recv chunk).
+  static constexpr std::size_t kTurnBytes = 64u << 10;
+
+  struct Loop;
+
+  /// A framed request line, stamped at frame time (the documented
+  /// "queueing counts against the deadline" semantics).
+  struct Pending {
+    std::string line;
+    std::chrono::steady_clock::time_point received_at;
+  };
+
+  /// Everything a loop knows about one connection. Touched only on its
+  /// owning loop's thread; pool workers reach it exclusively through
+  /// posted tasks that re-look it up by id (it may be gone by then).
   struct Conn {
+    Loop* loop = nullptr;  ///< the owning loop
     std::uint64_t id = 0;
     int fd = -1;
     std::string read_buf;   ///< trailing partial line awaiting more bytes
     std::string write_buf;  ///< response bytes not yet accepted by send()
     std::size_t write_off = 0;
-    /// Framed-but-undispatched request lines, stamped at frame time (the
-    /// documented "queueing counts against the deadline" semantics).
-    std::deque<std::pair<std::string, std::chrono::steady_clock::time_point>>
-        pending;
+    std::deque<Pending> pending;  ///< framed lines not yet run
     bool busy = false;         ///< one request is out on the pool
     bool read_open = true;     ///< peer has not EOF'd / errored
     bool read_paused = false;  ///< backpressure: EPOLLIN disabled
+    bool yielded = false;      ///< used its turn with lines still queued
     bool oversized = false;    ///< reject owed once pending drains
-    bool close_after_flush = false;  ///< oversized reject or drain
+    bool close_after_flush = false;  ///< oversized reject sent
+    bool broken = false;       ///< a send failed; close at once
   };
 
-  void loop_main();
+  /// One event-loop thread and the connections it owns.
+  struct Loop {
+    core::EventLoop events;
+    std::thread thread;
+    std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
+    bool draining = false;
+    bool drain_reported = false;
+  };
+
+  void loop_main(Loop& loop);
   void on_listen_ready();
-  void on_conn_event(std::uint64_t id, std::uint32_t ready);
+  void adopt(Loop& loop, std::uint64_t id, int fd);
+  void on_conn_event(Loop& loop, std::uint64_t id, std::uint32_t ready);
   void handle_readable(Conn& conn);
-  void handle_writable(Conn& conn);
   /// Frames request lines straight out of a recv chunk (read_buf carries
-  /// only a trailing partial line between chunks). Stops — and must not
-  /// touch `conn` again — once a line is rejected as oversized.
+  /// only a trailing partial line between chunks). Stops once a line is
+  /// rejected as oversized.
   void frame_data(Conn& conn, const char* data, std::size_t len);
   /// Admits one framed line into conn.pending; false = rejected oversized.
   bool take_line(Conn& conn, std::string line);
-  void dispatch_next(Conn& conn);
-  void finish_request(std::uint64_t id, std::string response);
-  void queue_response_bytes(Conn& conn, std::string bytes);
+  /// Runs queued lines in order until the queue empties, one goes to the
+  /// pool, the write buffer passes the high-water mark, or the turn's
+  /// byte budget is spent.
+  void run_queued(Conn& conn);
+  /// Hands one request to the pool; its reply comes back through
+  /// finish_pooled on the owning loop.
+  template <typename Work>
+  void to_pool(Conn& conn, Work work);
+  void finish_pooled(Loop& loop, std::uint64_t id, std::string response);
   void flush(Conn& conn);
-  void update_read_interest(Conn& conn);
+  void update_interest(Conn& conn);
   void reject_oversized(Conn& conn);
-  /// Emits the owed oversized-reject error line once earlier framed
+  /// Queues the owed oversized-reject error line once earlier framed
   /// requests have been answered, then arms close-after-flush.
   void maybe_send_reject(Conn& conn);
-  /// True once nothing will ever happen on the connection again.
-  [[nodiscard]] static bool finished(const Conn& conn);
-  void close_conn(std::uint64_t id);
-  void maybe_finish_drain();
+  /// Closes the connection if nothing will ever happen on it again.
+  void settle(Conn& conn);
+  void close_conn(Conn& conn);
+  void begin_drain();
+  void drain_loop(Loop& loop);
+  void maybe_finish_drain(Loop& loop);
 
   ServerOptions options_;
   Service service_;
@@ -170,22 +217,19 @@ class Server {
   /// Registry aliases for stats_; destroyed before stats_ (declared after).
   std::vector<obs::Registry::Registration> metric_regs_;
   std::unique_ptr<core::ThreadPool> pool_;
-  std::unique_ptr<core::EventLoop> loop_;
+  std::vector<std::unique_ptr<Loop>> loops_;
 
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread loop_thread_;
+  /// Open connections across all loops (the max_connections count).
+  std::atomic<std::size_t> open_conns_{0};
+  std::uint64_t next_conn_id_ = 0;  ///< loop 0 only
 
-  // Loop-thread state.
-  std::uint64_t next_conn_id_ = 1;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  bool draining_ = false;
-
-  // stop() rendezvous: the loop signals when the last connection is gone.
+  // stop() rendezvous: each loop reports once its last connection is gone.
   std::mutex drain_mutex_;
   std::condition_variable drain_cv_;
-  bool drained_ = false;
+  std::size_t loops_drained_ = 0;
 };
 
 }  // namespace lsml::server

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -207,7 +208,6 @@ void Service::register_metrics() {
   alias("lsml_server_model_evictions_total", stats_.model_evictions);
   alias("lsml_server_evals_total", stats_.evals);
   alias("lsml_server_eval_sweeps_total", stats_.eval_sweeps);
-  alias("lsml_server_eval_coalesced_total", stats_.eval_coalesced);
   alias("lsml_server_eval_rows_total", stats_.eval_rows);
   alias("lsml_server_synths_total", stats_.synths);
   alias("lsml_server_cecs_total", stats_.cecs);
@@ -228,15 +228,56 @@ void Service::register_metrics() {
       [this] { return static_cast<std::int64_t>(models_cached_bytes()); }));
 }
 
-std::string Service::handle_line(const std::string& line) {
-  return handle_line(line, std::chrono::steady_clock::now());
+bool Service::Request::light() const {
+  switch (op_) {
+    case 0:  // learn
+    case 2:  // synth
+    case 3:  // cec
+      return false;
+    case 4:  // ping
+      return json_.find("sleep_ms") == nullptr;
+    default:  // eval, stats, metrics, or a line that already failed
+      return true;
+  }
 }
 
-std::string Service::handle_line(
+Service::Request Service::parse(
     const std::string& line,
-    std::chrono::steady_clock::time_point received_at) {
+    std::chrono::steady_clock::time_point received_at) const {
+  Request request;
+  request.deadline_.received_at = received_at;
+  // Minterm rows skip the tree: the parser packs them into these blocks.
+  const RowCapture captures[] = {{"inputs", false, &request.inputs_},
+                                 {"batches", true, &request.batches_}};
+  try {
+    {
+      obs::ScopedSpan parse_span("parse", "server");
+      request.json_ = Json::parse(line, captures);
+    }
+    if (!request.json_.is_object()) {
+      throw RequestError("request must be a JSON object");
+    }
+    request.deadline_.budget_ms =
+        optional_int(request.json_, "deadline_ms", 0, 0, 24LL * 3600 * 1000);
+    const std::string type = required_string(request.json_, "type");
+    const auto* const op =
+        std::find(std::begin(kOpNames), std::end(kOpNames), type);
+    if (op == std::end(kOpNames)) {
+      throw RequestError(
+          "unknown request type '" + type +
+          "' (expected learn, eval, synth, cec, ping, stats, or metrics)");
+    }
+    request.op_ = static_cast<std::size_t>(op - std::begin(kOpNames));
+  } catch (...) {
+    request.error_ = std::current_exception();
+  }
+  return request;
+}
+
+std::string Service::execute(const Request& request) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  // Queue wait: transport frame time -> this worker picking the line up.
+  // Queue wait: transport frame time -> execution start.
+  const auto received_at = request.deadline_.received_at;
   const auto picked_up = std::chrono::steady_clock::now();
   if (picked_up >= received_at) {
     queue_wait_ns_.record(ns_since(received_at, picked_up));
@@ -244,56 +285,42 @@ std::string Service::handle_line(
       obs::Tracer::record("queue_wait", "server", received_at, picked_up);
     }
   }
-  Json request;
-  // Minterm rows skip the tree: the parser packs them into these blocks.
-  EvalRows rows;
-  const RowCapture captures[] = {{"inputs", false, &rows.inputs},
-                                 {"batches", true, &rows.batches}};
   try {
-    {
-      obs::ScopedSpan parse_span("parse", "server");
-      request = Json::parse(line, captures);
+    if (request.error_ != nullptr) {
+      std::rethrow_exception(request.error_);
     }
-    if (!request.is_object()) {
-      throw RequestError("request must be a JSON object");
-    }
-    Deadline deadline;
-    deadline.received_at = received_at;
-    deadline.budget_ms =
-        optional_int(request, "deadline_ms", 0, 0, 24LL * 3600 * 1000);
-    Json response = dispatch(request, rows, deadline);
+    Json response = dispatch(request);
     obs::ScopedSpan serialize_span("serialize", "server");
     return response.dump();
   } catch (const DeadlineExpired& e) {
     stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
     stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    Json r = response_base(request, "error", false);
+    Json r = response_base(request.json_, "error", false);
     r.set("error", e.what());
     r.set("expired", true);
     return r.dump();
   } catch (const std::exception& e) {
     stats_.errors.fetch_add(1, std::memory_order_relaxed);
-    Json r = response_base(request, "error", false);
+    Json r = response_base(request.json_, "error", false);
     r.set("error", e.what());
     return r.dump();
   }
 }
 
-Json Service::dispatch(const Json& request, const EvalRows& rows,
-                       const Deadline& deadline) {
-  const std::string type = required_string(request, "type");
-  std::size_t op = kNumOps;
-  for (std::size_t i = 0; i < kNumOps; ++i) {
-    if (type == kOpNames[i]) {
-      op = i;
-      break;
-    }
-  }
-  if (op == kNumOps) {
-    throw RequestError(
-        "unknown request type '" + type +
-        "' (expected learn, eval, synth, cec, ping, stats, or metrics)");
-  }
+std::string Service::handle_line(const std::string& line) {
+  return handle_line(line, std::chrono::steady_clock::now());
+}
+
+std::string Service::handle_line(
+    const std::string& line,
+    std::chrono::steady_clock::time_point received_at) {
+  return execute(parse(line, received_at));
+}
+
+Json Service::dispatch(const Request& request) {
+  const std::size_t op = request.op_;
+  const Json& json = request.json_;
+  const Deadline& deadline = request.deadline_;
   // The per-request span and latency histogram wrap the whole handler;
   // nested spans (sweep, synth passes, SAT solving) land inside it.
   obs::ScopedSpan op_span(kOpNames[op], "server");
@@ -301,19 +328,19 @@ Json Service::dispatch(const Json& request, const EvalRows& rows,
   Json response = [&]() -> Json {
     switch (op) {
       case 0:
-        return handle_learn(request, deadline);
+        return handle_learn(json, deadline);
       case 1:
-        return handle_eval(request, rows);
+        return handle_eval(request);
       case 2:
-        return handle_synth(request, deadline);
+        return handle_synth(json, deadline);
       case 3:
-        return handle_cec(request, deadline);
+        return handle_cec(json, deadline);
       case 4:
-        return handle_ping(request, deadline);
+        return handle_ping(json, deadline);
       case 5:
         return handle_stats();
       default:
-        return handle_metrics(request);
+        return handle_metrics(json);
     }
   }();
   op_ns_[op].record(ns_since(start, std::chrono::steady_clock::now()));
@@ -471,25 +498,6 @@ void transpose64(std::uint64_t* m) {
   }
 }
 
-/// Copies `n` bits from src[src_off..] to dst[dst_off..]. Word-blasts when
-/// both offsets are word-aligned (the common case: coalesced batches whose
-/// row counts are multiples of 64).
-void copy_bits(core::BitVec* dst, std::size_t dst_off, const core::BitVec& src,
-               std::size_t src_off, std::size_t n) {
-  if (dst_off % 64 == 0 && src_off % 64 == 0) {
-    const std::size_t words = n / 64;
-    for (std::size_t w = 0; w < words; ++w) {
-      dst->words()[dst_off / 64 + w] = src.words()[src_off / 64 + w];
-    }
-    dst_off += words * 64;
-    src_off += words * 64;
-    n -= words * 64;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    dst->set(dst_off + i, src.get(src_off + i));
-  }
-}
-
 std::string bits_to_string(const core::BitVec& bits, std::size_t offset,
                            std::size_t rows) {
   std::string text(rows, '0');
@@ -559,119 +567,8 @@ std::size_t decode_minterm_rows(const RowBlock& rows, std::size_t width,
   return n;
 }
 
-void Service::sweep_jobs(const StoredModel& model,
-                         const std::vector<std::shared_ptr<EvalJob>>& batch) {
-  const std::size_t num_pis = model.circuit.num_pis();
-  stats_.eval_sweeps.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedSpan sweep_span("sweep", "sim");
-  // Per-transport-thread scratch: the engine's word arena and the combined
-  // column/output buffers are reused across requests instead of
-  // reallocated per sweep. The engine only borrows model.circuit for the
-  // duration of this call (bind() rebinds it every time), so the
-  // thread_local outliving the model's shared_ptr is fine.
-  thread_local aig::SimEngine engine;
-  thread_local std::vector<core::BitVec> combined;
-  thread_local std::vector<core::BitVec> combined_outputs;
-  engine.bind(model.circuit);
-  if (batch.size() == 1) {
-    // One job: sweep its columns in place, no concatenation.
-    EvalJob& job = *batch.front();
-    std::vector<const core::BitVec*> ptrs(num_pis);
-    for (std::size_t col = 0; col < num_pis; ++col) {
-      ptrs[col] = &job.columns[col];
-    }
-    engine.run(ptrs);
-    engine.outputs_into(&job.outputs);
-    return;
-  }
-  // Concatenate every job's rows into combined columns, sweep once, then
-  // scatter each job's slice of the combined outputs back. Outputs are a
-  // pure per-row function of the inputs, so slices are byte-identical to
-  // what a solo sweep of that job would produce.
-  std::size_t total = 0;
-  for (const auto& job : batch) {
-    total += job->rows;
-  }
-  combined.resize(num_pis);
-  for (auto& column : combined) {
-    column.reset(total);
-  }
-  std::size_t offset = 0;
-  for (const auto& job : batch) {
-    for (std::size_t col = 0; col < num_pis; ++col) {
-      copy_bits(&combined[col], offset, job->columns[col], 0, job->rows);
-    }
-    offset += job->rows;
-  }
-  std::vector<const core::BitVec*> ptrs(num_pis);
-  for (std::size_t col = 0; col < num_pis; ++col) {
-    ptrs[col] = &combined[col];
-  }
-  engine.run(ptrs);
-  engine.outputs_into(&combined_outputs);
-  offset = 0;
-  for (const auto& job : batch) {
-    job->outputs.assign(combined_outputs.size(), core::BitVec(job->rows));
-    for (std::size_t o = 0; o < combined_outputs.size(); ++o) {
-      copy_bits(&job->outputs[o], 0, combined_outputs[o], offset, job->rows);
-    }
-    offset += job->rows;
-  }
-}
-
-void Service::run_eval_job(const std::string& id, const StoredModel& model,
-                           const std::shared_ptr<EvalJob>& job) {
-  if (!options_.coalesce_evals) {
-    sweep_jobs(model, {job});
-    return;
-  }
-  std::unique_lock<std::mutex> lock(eval_mutex_);
-  std::shared_ptr<EvalFlight>& slot = eval_flights_[id];
-  if (slot == nullptr) {
-    slot = std::make_shared<EvalFlight>();
-  }
-  // Keep the flight alive past a possible table erase by the leader.
-  const std::shared_ptr<EvalFlight> flight = slot;
-  if (flight->running) {
-    // Follower: enqueue and ride the leader's next combined sweep.
-    flight->waiting.push_back(job);
-    stats_.eval_coalesced.fetch_add(1, std::memory_order_relaxed);
-    flight->cv.wait(lock, [&] { return job->done; });
-    return;
-  }
-  flight->running = true;
-  lock.unlock();
-  if (before_leader_sweep_) {
-    before_leader_sweep_();
-  }
-  // Leader: sweep own rows immediately (coalescing never adds latency to
-  // an uncontended eval), then serve rounds of followers that piled up.
-  sweep_jobs(model, {job});
-  while (true) {
-    lock.lock();
-    job->done = true;
-    if (flight->waiting.empty()) {
-      flight->running = false;
-      const auto it = eval_flights_.find(id);
-      if (it != eval_flights_.end() && it->second == flight) {
-        eval_flights_.erase(it);  // keep the table to in-flight ids only
-      }
-      return;
-    }
-    std::vector<std::shared_ptr<EvalJob>> round;
-    round.swap(flight->waiting);
-    lock.unlock();
-    sweep_jobs(model, round);
-    lock.lock();
-    for (const auto& j : round) {
-      j->done = true;
-    }
-    flight->cv.notify_all();
-    lock.unlock();
-  }
-}
-
-Json Service::handle_eval(const Json& request, const EvalRows& rows) {
+Json Service::handle_eval(const Request& parsed) {
+  const Json& request = parsed.json_;
   const std::string id = required_string(request, "model");
   std::uint64_t hash = 0;
   if (!model_hash_from_id(id, &hash)) {
@@ -689,7 +586,8 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
   // Rows arrive either as one flat "inputs" array or as a "batches" array
   // of row arrays; either way every row rides ONE SimEngine sweep. The
   // request holds an array member as an empty placeholder: its rows are in
-  // `rows`, one group for "inputs" and one per batch.
+  // the parsed request's row blocks, one group for "inputs" and one per
+  // batch.
   const Json* inputs = optional_member(request, "inputs");
   const Json* batches = optional_member(request, "batches");
   if ((inputs == nullptr) == (batches == nullptr)) {
@@ -697,7 +595,8 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
         "request needs exactly one of 'inputs' (an array of minterm "
         "strings) or 'batches' (an array of such arrays)");
   }
-  const RowBlock& block = inputs != nullptr ? rows.inputs : rows.batches;
+  const RowBlock& block =
+      inputs != nullptr ? parsed.inputs_ : parsed.batches_;
   if (inputs != nullptr) {
     if (!inputs->is_array() || block.rows() == 0) {
       throw RequestError("'inputs' must be a non-empty array");
@@ -721,9 +620,8 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
   }
 
   const std::size_t num_pis = model->circuit.num_pis();
-  auto job = std::make_shared<EvalJob>();
-  job->rows = total_rows;
-  const std::size_t bad = decode_minterm_rows(block, num_pis, &job->columns);
+  std::vector<core::BitVec> columns;
+  const std::size_t bad = decode_minterm_rows(block, num_pis, &columns);
   if (bad < total_rows) {
     // Name the row within its own array: "inputs[r]" or "batches[g][r]".
     std::size_t group = 0;
@@ -741,7 +639,23 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
     throw RequestError(where + " holds a character other than 0/1");
   }
 
-  run_eval_job(id, *model, job);
+  // One sweep over every row. The engine's word arena and the output
+  // buffers are per thread and reused across requests; the engine only
+  // borrows model->circuit for this call (bind() rebinds it every time),
+  // so the thread_local outliving the model's shared_ptr is fine.
+  thread_local aig::SimEngine engine;
+  thread_local std::vector<core::BitVec> outputs;
+  {
+    stats_.eval_sweeps.fetch_add(1, std::memory_order_relaxed);
+    obs::ScopedSpan sweep_span("sweep", "sim");
+    std::vector<const core::BitVec*> ptrs(num_pis);
+    for (std::size_t col = 0; col < num_pis; ++col) {
+      ptrs[col] = &columns[col];
+    }
+    engine.bind(model->circuit);
+    engine.run(ptrs);
+    engine.outputs_into(&outputs);
+  }
   stats_.evals.fetch_add(1, std::memory_order_relaxed);
   stats_.eval_rows.fetch_add(total_rows, std::memory_order_relaxed);
 
@@ -750,7 +664,7 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
   r.set("rows", static_cast<std::int64_t>(total_rows));
   if (inputs != nullptr) {
     Json out = Json::array();
-    for (const core::BitVec& bits : job->outputs) {
+    for (const core::BitVec& bits : outputs) {
       out.push_back(Json(bits_to_string(bits, 0, total_rows)));
     }
     r.set("outputs", std::move(out));
@@ -762,7 +676,7 @@ Json Service::handle_eval(const Json& request, const EvalRows& rows) {
       Json entry = Json::object();
       entry.set("rows", static_cast<std::int64_t>(batch_rows));
       Json out = Json::array();
-      for (const core::BitVec& bits : job->outputs) {
+      for (const core::BitVec& bits : outputs) {
         out.push_back(Json(bits_to_string(bits, begin, batch_rows)));
       }
       entry.set("outputs", std::move(out));
@@ -939,7 +853,6 @@ Json Service::handle_stats() {
   r.set("model_evictions", get(stats_.model_evictions));
   r.set("evals", get(stats_.evals));
   r.set("eval_sweeps", get(stats_.eval_sweeps));
-  r.set("eval_coalesced", get(stats_.eval_coalesced));
   r.set("eval_rows", get(stats_.eval_rows));
   r.set("synths", get(stats_.synths));
   r.set("cecs", get(stats_.cecs));

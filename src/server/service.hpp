@@ -10,28 +10,24 @@
 //          the request's SynthOptions say so)
 //   eval   model id + minterm rows -> packed-simulation outputs. One
 //          request may carry many row batches ("batches"); they all ride
-//          one SimEngine sweep. Concurrent evals against the same model
-//          coalesce into shared sweeps (see "Batching" below). The rows
-//          never become Json values: the request parse packs them into a
-//          RowBlock (bytes back to back plus one end offset per row), and
-//          decode_minterm_rows transposes that block into PI columns, 64
-//          rows by 64 columns at a time. The row cap is checked on the row
-//          count before any column is allocated.
+//          one SimEngine sweep. The rows never become Json values: the
+//          request parse packs them into a RowBlock (bytes back to back
+//          plus one end offset per row), and decode_minterm_rows
+//          transposes that block into PI columns, 64 rows by 64 columns
+//          at a time. The row cap is checked on the row count before any
+//          column is allocated.
 //   synth  AIGER text + script string -> optimized AIGER + pass trace;
 //          script "auto" runs the per-circuit synth::ScriptSearch and the
 //          response names the winner (script + script_fp)
 //   cec    two AIGER payloads -> verdict + counterexample cube
 //   ping   liveness (optional server-side sleep, for load/deadline tests)
-//   stats  service counters (the one intentionally non-deterministic reply)
+//   stats  service counters (intentionally non-deterministic, like metrics)
+//   metrics  Prometheus text exposition of the process obs::Registry
 //
-// Batching: every eval bottoms out in one aig::SimEngine sweep no matter
-// how many row batches the request carries, and when several requests for
-// the same model id are in flight at once, one of them (the leader) sweeps
-// while the rest enqueue; the leader then serves each round of enqueued
-// requests with one combined sweep, scattering per-request outputs back.
-// Outputs are computed from each request's own rows, so coalescing never
-// changes a single response byte — it only changes how many sweeps ran,
-// observable as `eval_sweeps` / `eval_coalesced` in `stats`.
+// Parse, then execute: handle_line is parse() followed by execute(). A
+// transport that wants to route by op (the TCP server runs light ops on
+// its event loops and heavy ones on its pool) calls the two itself and
+// hands the parsed Request across threads, so no line is parsed twice.
 //
 // Model store: learned circuits live in a sharded LRU keyed by a content
 // hash over (datasets, learner, seed, request fingerprint) — the same
@@ -51,8 +47,8 @@
 // request set get byte-identical lines to a serial replay. Hit counts are
 // observable through `stats` instead.
 //
-// Thread safety: handle_line is safe to call from any number of threads
-// (the store shards, the eval coalescer, and the counters are internally
+// Thread safety: parse, execute and handle_line are safe to call from any
+// number of threads (the store shards and the counters are internally
 // synchronized; the synth memo and learner stack are already thread-safe).
 // Install the process synth::OptRequest (synth::set_default_opt_request)
 // BEFORE constructing a Service: the constructor snapshots the installed
@@ -62,9 +58,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <future>
 #include <iosfwd>
 #include <list>
@@ -91,8 +86,6 @@ struct ServiceOptions {
   std::size_t model_store_bytes = 0;
   /// Store shard count (rounded up to a power of two).
   std::size_t store_shards = 8;
-  /// Coalesce concurrent same-model evals into shared sweeps.
-  bool coalesce_evals = true;
   /// On-disk second level (a suite::ResultCache); empty disables it.
   std::string cache_dir;
   /// Contest seed used when a learn request does not send one.
@@ -136,11 +129,9 @@ struct ServiceStats {
   obs::Counter model_inflight_joins;
   obs::Counter model_evictions;
   obs::Counter evals;
-  /// SimEngine sweeps actually run for eval requests; under a same-model
-  /// storm this stays well below `evals` (the coalescing headline).
+  /// SimEngine sweeps run for eval requests: one per eval, however many
+  /// batches it carries.
   obs::Counter eval_sweeps;
-  /// Eval requests whose rows rode another request's sweep.
-  obs::Counter eval_coalesced;
   obs::Counter eval_rows;
   obs::Counter synths;
   obs::Counter cecs;
@@ -166,9 +157,38 @@ class Service {
 
   explicit Service(ServiceOptions options = {});
 
-  /// Handles one request line; never throws. The returned response line
-  /// carries no trailing newline. `received_at` stamps the deadline clock;
-  /// the overload without it uses "now" (stdio mode, tests).
+  /// One request line after parse(): its Json tree, the minterm rows the
+  /// parse packed past that tree, its deadline clock and its op, or the
+  /// error the line already failed with (execute() answers it).
+  class Request {
+   public:
+    /// True when the request answers in microseconds and never blocks:
+    /// eval, stats, metrics, a ping without `sleep_ms`, and every line
+    /// that failed to parse. learn, synth, cec and a sleeping ping are
+    /// heavy.
+    [[nodiscard]] bool light() const;
+
+   private:
+    friend class Service;
+    Json json_;
+    RowBlock inputs_;   ///< top-level "inputs": one group
+    RowBlock batches_;  ///< top-level "batches": one group per batch
+    Deadline deadline_;
+    std::size_t op_ = kNumOps;  ///< index into the op table once known
+    std::exception_ptr error_;  ///< what parsing threw, if anything
+  };
+
+  /// Parses one request line; never throws. `received_at` stamps the
+  /// deadline clock.
+  [[nodiscard]] Request parse(const std::string& line,
+                              std::chrono::steady_clock::time_point
+                                  received_at) const;
+  /// Answers a parsed request; never throws. The returned response line
+  /// carries no trailing newline.
+  [[nodiscard]] std::string execute(const Request& request);
+
+  /// parse() then execute(). The overload without `received_at` uses
+  /// "now" (stdio mode, tests).
   [[nodiscard]] std::string handle_line(
       const std::string& line, std::chrono::steady_clock::time_point
                                    received_at);
@@ -212,32 +232,9 @@ class Service {
     std::unordered_map<std::string, Entry> map;
   };
 
-  /// One eval request's rows, parsed into PI columns; the coalescer fills
-  /// `outputs` (one BitVec per circuit output over this job's rows).
-  struct EvalJob {
-    std::size_t rows = 0;
-    std::vector<core::BitVec> columns;
-    std::vector<core::BitVec> outputs;
-    bool done = false;
-  };
-
-  /// Single-flight state for one model id's in-flight eval sweeps.
-  struct EvalFlight {
-    bool running = false;
-    std::vector<std::shared_ptr<EvalJob>> waiting;
-    std::condition_variable cv;
-  };
-
-  /// The minterm rows a request's parse sent past the Json tree.
-  struct EvalRows {
-    RowBlock inputs;   ///< top-level "inputs": one group
-    RowBlock batches;  ///< top-level "batches": one group per batch
-  };
-
-  Json dispatch(const Json& request, const EvalRows& rows,
-                const Deadline& deadline);
+  Json dispatch(const Request& request);
   Json handle_learn(const Json& request, const Deadline& deadline);
-  Json handle_eval(const Json& request, const EvalRows& rows);
+  Json handle_eval(const Request& request);
   Json handle_synth(const Json& request, const Deadline& deadline);
   Json handle_cec(const Json& request, const Deadline& deadline);
   Json handle_ping(const Json& request, const Deadline& deadline);
@@ -246,14 +243,6 @@ class Service {
   /// Registers stats_ and the latency histograms into the process
   /// obs::Registry (constructor helper).
   void register_metrics();
-
-  /// Runs `job` through the per-model coalescer (or directly when
-  /// coalescing is off); on return job->outputs is filled.
-  void run_eval_job(const std::string& id, const StoredModel& model,
-                    const std::shared_ptr<EvalJob>& job);
-  /// One combined SimEngine sweep over every job in `batch`.
-  void sweep_jobs(const StoredModel& model,
-                  const std::vector<std::shared_ptr<EvalJob>>& batch);
 
   [[nodiscard]] StoreShard& shard_for(const std::string& id);
   /// LRU lookup (bumps recency); nullptr on miss.
@@ -281,21 +270,11 @@ class Service {
                      std::shared_future<std::shared_ptr<const StoredModel>>>
       inflight_;
 
-  /// Eval coalescer: guards the flight table and every flight's state.
-  /// Critical sections are O(1) pointer shuffling; sweeps run outside.
-  std::mutex eval_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<EvalFlight>> eval_flights_;
-
   std::vector<std::unique_ptr<StoreShard>> shards_;
   std::size_t shard_mask_ = 0;
   std::atomic<std::uint64_t> store_clock_{0};
   std::atomic<std::size_t> store_entries_{0};
   std::atomic<std::size_t> store_bytes_{0};
-
-  /// Test seam: when set, an eval leader calls it before its first sweep,
-  /// so a test can hold the flight open until followers have queued.
-  std::function<void()> before_leader_sweep_;
-  friend struct ServiceTestAccess;
 
   /// Telemetry side-channel: queue-wait and per-op latency histograms, in
   /// nanoseconds.

@@ -34,17 +34,6 @@
 #include "synth/script.hpp"
 
 namespace lsml {
-namespace server {
-
-/// Reaches Service's private test seam.
-struct ServiceTestAccess {
-  static void set_before_leader_sweep(Service& service,
-                                      std::function<void()> hook) {
-    service.before_leader_sweep_ = std::move(hook);
-  }
-};
-
-}  // namespace server
 namespace {
 
 using server::Client;
@@ -886,7 +875,7 @@ TEST(ServiceTest, BatchedEvalRunsOneSweepAndMatchesPerBatchEvals) {
   EXPECT_EQ(service.stats().eval_sweeps.load(), sweeps_before + 1);
 }
 
-TEST(ServiceTest, ConcurrentSameModelEvalsCoalesceIntoFewerSweeps) {
+TEST(ServiceTest, ConcurrentSameModelEvalsMatchTheSerialReply) {
   Service service;
   const Json learned = handle(
       service,
@@ -910,59 +899,31 @@ TEST(ServiceTest, ConcurrentSameModelEvalsCoalesceIntoFewerSweeps) {
   const std::uint64_t evals0 = service.stats().evals.load();
   const std::uint64_t sweeps0 = service.stats().eval_sweeps.load();
 
-  // The storm's first leader holds its flight open until every other
-  // thread has queued behind it, so the overlap is certain, not timed.
+  // Sixteen threads evaluate the same model at once, many times each:
+  // every reply is the serial one, and every eval ran its own sweep.
   constexpr int kThreads = 16;
-  std::atomic<bool> held{false};
-  server::ServiceTestAccess::set_before_leader_sweep(service, [&] {
-    if (held.exchange(true)) {
-      return;
-    }
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (service.stats().eval_coalesced.load() < kThreads - 1 &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::yield();
-    }
-  });
-  std::vector<std::string> responses(kThreads);
+  constexpr int kRounds = 20;
+  std::vector<std::vector<std::string>> responses(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { responses[t] = service.handle_line(line); });
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        responses[t].push_back(service.handle_line(line));
+      }
+    });
   }
   for (auto& thread : threads) {
     thread.join();
   }
-  // Coalescing never changes a byte of any response...
-  for (const std::string& response : responses) {
-    EXPECT_EQ(response, baseline);
+  for (const auto& replies : responses) {
+    for (const std::string& response : replies) {
+      EXPECT_EQ(response, baseline);
+    }
   }
-  // ...only how many sweeps served them: the leader's own, then one
-  // combined sweep for all fifteen followers.
-  EXPECT_EQ(service.stats().evals.load() - evals0, kThreads);
-  EXPECT_EQ(service.stats().eval_coalesced.load(), kThreads - 1u);
-  EXPECT_EQ(service.stats().eval_sweeps.load() - sweeps0, 2u);
-}
-
-TEST(ServiceTest, CoalescingOffRunsOneSweepPerEval) {
-  ServiceOptions options;
-  options.coalesce_evals = false;
-  Service service(options);
-  const Json learned = handle(
-      service,
-      learn_request(pla_for(2, [](std::uint32_t r) { return r == 1; })));
-  Json request = make_request("eval");
-  request.set("model", learned.at("model").as_string());
-  Json inputs = Json::array();
-  inputs.push_back(Json("10"));
-  request.set("inputs", std::move(inputs));
-  const std::string line = request.dump();
-  const std::string first = service.handle_line(line);
-  EXPECT_EQ(service.handle_line(line), first);
-  EXPECT_EQ(service.stats().eval_sweeps.load(), 2u);
-  EXPECT_EQ(service.stats().eval_coalesced.load(), 0u);
+  EXPECT_EQ(service.stats().evals.load() - evals0, kThreads * kRounds);
+  EXPECT_EQ(service.stats().eval_sweeps.load() - sweeps0,
+            kThreads * kRounds);
 }
 
 TEST(ServiceTest, SynthOptimizesAndStaysEquivalent) {
@@ -1663,9 +1624,173 @@ TEST(ServerTest, PipelinedRequestsAreStampedWhenFramedNotWhenServed) {
   EXPECT_EQ(server.service().stats().learns.load(), 0u);
 }
 
+/// A client that has answered one ping: the server accepted it and its
+/// loop adopted it, so clients connected one after another get
+/// consecutive connection ids (and loops `id % loops`).
+void connect_and_ping(Client* client, int port, int recv_buffer_bytes = 0) {
+  client->connect("127.0.0.1", port, recv_buffer_bytes);
+  ASSERT_TRUE(client->request(make_request("ping")).at("ok").as_bool());
+}
+
+TEST(ServerTest, PipelinedBurstIsAnsweredInOrderWhileItsLoopServesOthers) {
+  // One pool worker: two loops. Connection ids 0 and 2 share loop 0, ids
+  // 1 and 3 share loop 1.
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  options.write_high_water_bytes = 64u << 10;
+  options.send_buffer_bytes = 16384;  // replies back up in the server
+  Server server(options);
+  server.start();
+
+  const std::string pla = pla_for(3, [](std::uint32_t r) { return r % 3 == 1; });
+  Client setup;  // id 0
+  setup.connect("127.0.0.1", server.port());
+  const Json learned = Json::parse(setup.roundtrip(learn_request(pla).dump()));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  const std::string model = learned.at("model").as_string();
+
+  // 20,000 small eval and ping lines, each with its own id, in one send.
+  // The reference replies come from a serial Service with the same model.
+  Service reference;
+  ASSERT_TRUE(handle(reference, learn_request(pla)).at("ok").as_bool());
+  constexpr int kLines = 20000;
+  std::string burst;
+  std::vector<std::string> expected;
+  expected.reserve(kLines);
+  for (int i = 0; i < kLines; ++i) {
+    Json request = make_request(i % 3 == 0 ? "ping" : "eval");
+    request.set("id", std::int64_t{i});
+    if (i % 3 != 0) {
+      request.set("model", model);
+      Json inputs = Json::array();
+      for (int r = 0; r < 1 + i % 5; ++r) {
+        std::string row(3, '0');
+        for (int c = 0; c < 3; ++c) {
+          row[c] = (((i + r) >> c) & 1) != 0 ? '1' : '0';
+        }
+        inputs.push_back(Json(row));
+      }
+      request.set("inputs", std::move(inputs));
+    }
+    const std::string line = request.dump();
+    burst += line + "\n";
+    expected.push_back(reference.handle_line(line));
+  }
+
+  Client flooder;  // id 1, loop 1; a small window keeps replies server-side
+  connect_and_ping(&flooder, server.port(), 4096);
+  Client other;  // id 2, loop 0
+  connect_and_ping(&other, server.port());
+  Client neighbor;  // id 3, loop 1: shares the flooder's loop
+  connect_and_ping(&neighbor, server.port());
+
+  const std::uint64_t requests0 = server.service().stats().requests.load();
+  std::thread writer([&] { flooder.send_raw(burst); });
+  // Wait until the loop is inside the burst. The flooder reads nothing
+  // yet, so its replies back up past the high-water mark and the burst
+  // cannot finish before the neighbor is answered.
+  while (server.service().stats().requests.load() - requests0 < 1000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Json ping = make_request("ping");
+  ping.set("id", std::int64_t{-1});
+  const Json pong = neighbor.request(ping);
+  EXPECT_TRUE(pong.at("ok").as_bool());
+  EXPECT_EQ(pong.at("id").as_int(), -1);
+  EXPECT_LT(server.service().stats().requests.load() - requests0,
+            static_cast<std::uint64_t>(kLines));
+  EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
+
+  for (int i = 0; i < kLines; ++i) {
+    std::string reply;
+    ASSERT_TRUE(flooder.recv_line(&reply)) << i;
+    ASSERT_EQ(reply, expected[i]) << i;
+  }
+  writer.join();
+}
+
+TEST(ServerTest, EvalIsAnsweredWhileASleepingPingHoldsThePool) {
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  Server server(options);
+  server.start();
+
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  const Json learned = Json::parse(client.roundtrip(
+      learn_request(pla_for(2, [](std::uint32_t r) { return r == 2; }))
+          .dump()));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  Json eval = make_request("eval");
+  eval.set("model", learned.at("model").as_string());
+  Json inputs = Json::array();
+  inputs.push_back(Json("01"));
+  eval.set("inputs", std::move(inputs));
+
+  Client sleeper;
+  sleeper.connect("127.0.0.1", server.port());
+  Json sleep_request = make_request("ping");
+  sleep_request.set("sleep_ms", std::int64_t{400});
+  const auto sent = std::chrono::steady_clock::now();
+  sleeper.send_line(sleep_request.dump());
+  // Let the only worker claim the sleeping ping.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // Evals run on the connection's loop, not behind the busy pool.
+  const Json reply = client.request(eval);
+  const auto answered = std::chrono::steady_clock::now();
+  EXPECT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("outputs").at(0).as_string(), "1");
+  EXPECT_LT(answered - sent, std::chrono::milliseconds(300));
+
+  std::string pong;
+  ASSERT_TRUE(sleeper.recv_line(&pong));
+  EXPECT_TRUE(Json::parse(pong).at("ok").as_bool());
+  EXPECT_GE(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(400));
+}
+
+TEST(ServerTest, CapAndDrainHoldAcrossLoops) {
+  // Five connections on two loops: the cap counts them all, and stop()
+  // answers every in-flight request on every loop before closing.
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  options.max_connections = 5;
+  Server server(options);
+  server.start();
+
+  std::vector<Client> clients(5);
+  for (Client& client : clients) {
+    connect_and_ping(&client, server.port());
+  }
+  Client extra;
+  extra.connect("127.0.0.1", server.port());
+  std::string line;
+  ASSERT_TRUE(extra.recv_line(&line));
+  EXPECT_NE(line.find("connection limit"), std::string::npos);
+  EXPECT_EQ(server.stats().over_connection_cap.load(), 1u);
+
+  // Sleeping pings on both loops queue on the one worker.
+  Json sleepy = make_request("ping");
+  sleepy.set("sleep_ms", std::int64_t{60});
+  for (int c = 0; c < 3; ++c) {
+    clients[c].send_line(sleepy.dump());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.stop();
+  for (int c = 0; c < 5; ++c) {
+    if (c < 3) {
+      ASSERT_TRUE(clients[c].recv_line(&line)) << c;
+      EXPECT_TRUE(Json::parse(line).at("ok").as_bool()) << c;
+    }
+    EXPECT_FALSE(clients[c].recv_line(&line)) << c;  // then closed
+  }
+  EXPECT_EQ(server.service().stats().pings.load(), 5u + 3u);
+}
+
 // The acceptance-criteria test: 256 concurrent clients replaying a fixed
 // request set get byte-identical responses to a serial replay — across the
-// event loop, the eval coalescer, and the sharded store. Runs under TSan
+// event loops, the pool, and the sharded store. Runs under TSan
 // in CI, so it is also the concurrency torture test.
 TEST(ServerTest, ConcurrentClientsAreBitIdenticalToSerial) {
   // A request mix that exercises every stateful path: learns (shared model
