@@ -24,7 +24,7 @@
 // build type, compiler); `--check FILE` compares the run against such a
 // snapshot and fails (exit 1) when req/s drops or p99 grows by more than
 // `--max-regress` (default 0.25) at any connection count — the nightly
-// perf gate against the committed BENCH_serve.json. It refuses (exit 1,
+// perf gate against the committed BENCH_serve.json. It refuses (exit 3,
 // before measuring) a snapshot whose host differs from this one: numbers
 // from other hardware or another build say nothing about a regression.
 //
@@ -490,8 +490,11 @@ server::Json read_snapshot(const std::string& path) {
   }
 }
 
+constexpr int kOtherHostExit = 3;
+
 /// Refuses a snapshot recorded on another host (or before snapshots
-/// carried one).
+/// carried one), with its own exit code so a gate can tell "no baseline
+/// for this host" from a regression.
 void require_same_host(const std::string& path,
                        const server::Json& snapshot) {
   const server::Json here = host_info();
@@ -505,7 +508,7 @@ void require_same_host(const std::string& path,
                path.c_str(),
                recorded != nullptr ? recorded->dump().c_str() : "(none)",
                here.dump().c_str());
-  std::exit(1);
+  std::exit(kOtherHostExit);
 }
 
 /// Histogram summary for the snapshot's `obs` block: count plus

@@ -431,7 +431,7 @@ void Server::run_queued(Conn& conn) {
       break;
     }
     Service::Request request = service_.parse(next.line, next.received_at);
-    if (!request.light()) {
+    if (!service_.prepare_inline(request)) {
       to_pool(conn, [this, request = std::move(request)] {
         return service_.execute(request);
       });

@@ -9,18 +9,20 @@
 //                 from then on that loop alone owns the connection's
 //                 socket, buffers, FIFO request queue and backpressure. A
 //                 loop frames newline-delimited request lines, parses each
-//                 once, and answers the light ones (eval, stats, metrics,
-//                 a ping without sleep_ms) in place, writing the reply
-//                 without any cross-thread hop. No thread is ever parked
-//                 on one connection, so thousands of idle or slow clients
-//                 cost four kilobytes of buffer each, not a stack.
-//   worker pool   a core::ThreadPool of num_threads workers.
-//                 Heavy requests (learn, synth, cec, a sleeping ping) and
-//                 any line over kInlineLineBytes go there, the parsed
-//                 request handed over as is; the reply is posted back to
-//                 the owning loop. While one is out, the connection's
-//                 later lines wait, so requests on one connection stay
-//                 FIFO, and heavy work is capped at the pool width.
+//                 once, and answers what Service::prepare_inline accepts
+//                 (eval on a model in memory, stats, metrics, a ping
+//                 without sleep_ms) in place, writing the reply without
+//                 any cross-thread hop. No thread is ever parked on one
+//                 connection, so thousands of idle or slow clients cost
+//                 four kilobytes of buffer each, not a stack.
+//   worker pool   a core::ThreadPool of num_threads workers. Heavy
+//                 requests (learn, synth, cec, a sleeping ping, an eval
+//                 whose model is not in memory) and any line over
+//                 kInlineLineBytes go there, the parsed request handed
+//                 over as is; the reply is posted back to the owning
+//                 loop. While one is out, the connection's later lines
+//                 wait, so requests on one connection stay FIFO, and
+//                 heavy work is capped at the pool width.
 //   service       server::Service — the transport-agnostic request
 //                 handler with its sharded model store (see service.hpp).
 //
@@ -131,10 +133,17 @@ class Server {
 
  private:
   /// Request lines longer than this are parsed and answered on the pool,
-  /// never on a loop, so no line holds a loop for much over a
-  /// millisecond. A 4096-row, 32-input eval (about 140 KB) stays on its
-  /// loop: measured in perfbench `serve`, those evals ran 25–33M rows/s
-  /// inline and 16–27M rows/s with a 64 KiB bound that pooled them.
+  /// never on a loop. Parse, row decode and sweep grow with the line, so
+  /// the bound caps the rows one inline eval runs; its time also grows
+  /// with the model's size, which nothing here bounds. Measured on a
+  /// 4-core host, one worker, a client streaming eval lines of a 12-input
+  /// model and a neighbor on the same loop sending 1-row evals: 120 KB
+  /// lines (8,000 rows) take about 0.7 ms each inline; for 0.5–6.3 MB
+  /// lines, pooling kept the neighbor's p99 at 0.12–0.41 ms against
+  /// 1.4–18 ms inline, at the same rows/s. A 4096-row, 32-input eval
+  /// (about 140 KB) stays on its loop: in perfbench `serve`, those ran
+  /// 25–33M rows/s inline and 16–27M rows/s under a 64 KiB bound that
+  /// pooled them.
   static constexpr std::size_t kInlineLineBytes = 256u << 10;
   /// Request bytes a loop runs for one connection before it lets the
   /// loop's other connections have a turn (one recv chunk).

@@ -228,24 +228,12 @@ void Service::register_metrics() {
       [this] { return static_cast<std::int64_t>(models_cached_bytes()); }));
 }
 
-bool Service::Request::light() const {
-  switch (op_) {
-    case 0:  // learn
-    case 2:  // synth
-    case 3:  // cec
-      return false;
-    case 4:  // ping
-      return json_.find("sleep_ms") == nullptr;
-    default:  // eval, stats, metrics, or a line that already failed
-      return true;
-  }
-}
-
 Service::Request Service::parse(
     const std::string& line,
     std::chrono::steady_clock::time_point received_at) const {
   Request request;
   request.deadline_.received_at = received_at;
+  request.parse_begin_ = std::chrono::steady_clock::now();
   // Minterm rows skip the tree: the parser packs them into these blocks.
   const RowCapture captures[] = {{"inputs", false, &request.inputs_},
                                  {"batches", true, &request.batches_}};
@@ -271,18 +259,55 @@ Service::Request Service::parse(
   } catch (...) {
     request.error_ = std::current_exception();
   }
+  request.parse_end_ = std::chrono::steady_clock::now();
   return request;
+}
+
+bool Service::prepare_inline(Request& request) {
+  bool inline_ok = true;
+  switch (request.op_) {
+    case 0:  // learn
+    case 2:  // synth
+    case 3:  // cec
+      inline_ok = false;
+      break;
+    case 1: {  // eval
+      // Only a memory hit runs inline: a miss may read and parse a disk
+      // cache file. handle_eval reuses the model found here.
+      const Json* model = request.json_.find("model");
+      if (model != nullptr && model->is_string()) {
+        request.model_ = store_get(model->as_string());
+        inline_ok = request.model_ != nullptr || !disk_cache_.enabled();
+      }
+      break;
+    }
+    case 4:  // ping
+      inline_ok = request.json_.find("sleep_ms") == nullptr;
+      break;
+    default:  // stats, metrics, or a line that already failed
+      break;
+  }
+  request.deferred_ = !inline_ok;
+  return inline_ok;
 }
 
 std::string Service::execute(const Request& request) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  // Queue wait: transport frame time -> execution start.
+  // Queue wait: transport frame time -> parse, plus parse -> execution
+  // start for a request that waited for a worker. The parse itself is
+  // not waiting and is left out.
   const auto received_at = request.deadline_.received_at;
   const auto picked_up = std::chrono::steady_clock::now();
-  if (picked_up >= received_at) {
-    queue_wait_ns_.record(ns_since(received_at, picked_up));
+  if (request.parse_begin_ >= received_at) {
+    queue_wait_ns_.record(ns_since(received_at, request.parse_begin_) +
+                          ns_since(request.parse_end_, picked_up));
     if (obs::Tracer::enabled()) {
-      obs::Tracer::record("queue_wait", "server", received_at, picked_up);
+      obs::Tracer::record("queue_wait", "server", received_at,
+                          request.parse_begin_);
+      if (request.deferred_) {
+        obs::Tracer::record("queue_wait", "server", request.parse_end_,
+                            picked_up);
+      }
     }
   }
   try {
@@ -575,7 +600,10 @@ Json Service::handle_eval(const Request& parsed) {
     throw RequestError("'" + id +
                        "' is not a model id (expected m-<16 hex digits>)");
   }
-  std::shared_ptr<const StoredModel> model = store_get(id);
+  std::shared_ptr<const StoredModel> model = parsed.model_;
+  if (model == nullptr) {
+    model = store_get(id);
+  }
   if (model == nullptr) {
     model = disk_get(id, hash);
   }

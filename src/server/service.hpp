@@ -25,9 +25,10 @@
 //   metrics  Prometheus text exposition of the process obs::Registry
 //
 // Parse, then execute: handle_line is parse() followed by execute(). A
-// transport that wants to route by op (the TCP server runs light ops on
-// its event loops and heavy ones on its pool) calls the two itself and
-// hands the parsed Request across threads, so no line is parsed twice.
+// transport that routes requests (the TCP server runs what
+// prepare_inline() accepts on its event loops and the rest on its pool)
+// calls them itself and hands the parsed Request across threads, so no
+// line is parsed twice.
 //
 // Model store: learned circuits live in a sharded LRU keyed by a content
 // hash over (datasets, learner, seed, request fingerprint) — the same
@@ -47,9 +48,10 @@
 // request set get byte-identical lines to a serial replay. Hit counts are
 // observable through `stats` instead.
 //
-// Thread safety: parse, execute and handle_line are safe to call from any
-// number of threads (the store shards and the counters are internally
-// synchronized; the synth memo and learner stack are already thread-safe).
+// Thread safety: parse, prepare_inline, execute and handle_line are safe
+// to call from any number of threads (the store shards and the counters
+// are internally synchronized; the synth memo and learner stack are
+// already thread-safe).
 // Install the process synth::OptRequest (synth::set_default_opt_request)
 // BEFORE constructing a Service: the constructor snapshots the installed
 // optimizer for model-id fingerprints and synth dispatch, and learners
@@ -161,13 +163,6 @@ class Service {
   /// parse packed past that tree, its deadline clock and its op, or the
   /// error the line already failed with (execute() answers it).
   class Request {
-   public:
-    /// True when the request answers in microseconds and never blocks:
-    /// eval, stats, metrics, a ping without `sleep_ms`, and every line
-    /// that failed to parse. learn, synth, cec and a sleeping ping are
-    /// heavy.
-    [[nodiscard]] bool light() const;
-
    private:
     friend class Service;
     Json json_;
@@ -176,6 +171,14 @@ class Service {
     Deadline deadline_;
     std::size_t op_ = kNumOps;  ///< index into the op table once known
     std::exception_ptr error_;  ///< what parsing threw, if anything
+    /// When parse() started and ended: the queue wait is the time from
+    /// deadline_.received_at to parse_begin_, plus the time from
+    /// parse_end_ to execute() when the request waited for a worker.
+    std::chrono::steady_clock::time_point parse_begin_{};
+    std::chrono::steady_clock::time_point parse_end_{};
+    /// An eval's model, when prepare_inline() found it in memory.
+    std::shared_ptr<const StoredModel> model_;
+    bool deferred_ = false;  ///< prepare_inline() sent it to a worker
   };
 
   /// Parses one request line; never throws. `received_at` stamps the
@@ -183,6 +186,15 @@ class Service {
   [[nodiscard]] Request parse(const std::string& line,
                               std::chrono::steady_clock::time_point
                                   received_at) const;
+  /// Says whether a parsed request may run on the caller's event loop,
+  /// where it must never block: eval on a model already in memory (looked
+  /// up here and kept in the request), stats, metrics, a ping without
+  /// `sleep_ms`, and every line that failed to parse. learn, synth, cec, a
+  /// sleeping ping and an eval whose model would have to be read from the
+  /// disk level go to a worker instead. An inline eval costs time in
+  /// proportion to its rows times the model's size; the caller bounds the
+  /// rows by bounding the line length.
+  [[nodiscard]] bool prepare_inline(Request& request);
   /// Answers a parsed request; never throws. The returned response line
   /// carries no trailing newline.
   [[nodiscard]] std::string execute(const Request& request);

@@ -1152,6 +1152,54 @@ TEST(ServiceTest, DiskCacheServesAcrossServiceInstances) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServiceTest, PrepareInlineAcceptsOnlyWorkThatCannotBlock) {
+  const std::string dir = temp_dir("prepare_inline");
+  ServiceOptions options;
+  options.cache_dir = dir;
+  const std::string pla =
+      pla_for(3, [](std::uint32_t r) { return r % 3 == 0; });
+  std::string model_id;
+  {
+    Service warm(options);  // leaves the model in the disk level only
+    model_id = handle(warm, learn_request(pla)).at("model").as_string();
+  }
+  Service service(options);
+  const auto inline_ok = [&](const Json& request) {
+    Service::Request parsed = service.parse(request.dump(),
+                                            std::chrono::steady_clock::now());
+    return service.prepare_inline(parsed);
+  };
+  Json eval = make_request("eval");
+  eval.set("model", model_id);
+  Json inputs = Json::array();
+  inputs.push_back(Json("011"));
+  eval.set("inputs", std::move(inputs));
+  Json sleepy = make_request("ping");
+  sleepy.set("sleep_ms", std::int64_t{1});
+
+  EXPECT_FALSE(inline_ok(learn_request(pla)));
+  EXPECT_FALSE(inline_ok(make_request("synth")));
+  EXPECT_FALSE(inline_ok(make_request("cec")));
+  EXPECT_FALSE(inline_ok(sleepy));
+  EXPECT_FALSE(inline_ok(eval));  // the model is on disk, not in memory
+  EXPECT_TRUE(inline_ok(make_request("ping")));
+  EXPECT_TRUE(inline_ok(make_request("stats")));
+  EXPECT_TRUE(inline_ok(make_request("metrics")));
+  EXPECT_TRUE(inline_ok(make_request("eval")));  // fails without a lookup
+  EXPECT_EQ(service.stats().model_memory_hits.load(), 0u);
+
+  // Reading the model from disk puts it in memory: now the eval is light,
+  // and running it counts the one lookup prepare_inline made.
+  const std::string expected = service.handle_line(eval.dump());
+  EXPECT_EQ(service.stats().model_disk_hits.load(), 1u);
+  Service::Request parsed =
+      service.parse(eval.dump(), std::chrono::steady_clock::now());
+  ASSERT_TRUE(service.prepare_inline(parsed));
+  EXPECT_EQ(service.execute(parsed), expected);
+  EXPECT_EQ(service.stats().model_memory_hits.load(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 // ========================================================= Service: deadlines
 
 TEST(ServiceTest, ExpiredDeadlineGatesHeavyWork) {
@@ -1748,6 +1796,137 @@ TEST(ServerTest, EvalIsAnsweredWhileASleepingPingHoldsThePool) {
   EXPECT_TRUE(Json::parse(pong).at("ok").as_bool());
   EXPECT_GE(std::chrono::steady_clock::now() - sent,
             std::chrono::milliseconds(400));
+}
+
+/// Holds the only worker of a one-worker server with a 400 ms ping on
+/// `sleeper`, and returns when the ping was sent.
+std::chrono::steady_clock::time_point hold_the_pool(Client* sleeper) {
+  Json sleep_request = make_request("ping");
+  sleep_request.set("sleep_ms", std::int64_t{400});
+  const auto sent = std::chrono::steady_clock::now();
+  sleeper->send_line(sleep_request.dump());
+  // Let the worker claim the sleeping ping.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  return sent;
+}
+
+TEST(ServerTest, LongLineWaitsForAWorkerWhileItsLoopAnswersOthers) {
+  // One pool worker: two loops. Connection ids 1 and 3 share loop 1.
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  Server server(options);
+  server.start();
+
+  const std::string pla = pla_for(2, [](std::uint32_t r) { return r == 1; });
+  Client setup;  // id 0, loop 0
+  setup.connect("127.0.0.1", server.port());
+  const Json learned = Json::parse(setup.roundtrip(learn_request(pla).dump()));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  Json eval = make_request("eval");
+  eval.set("model", learned.at("model").as_string());
+  Json inputs = Json::array();
+  for (int r = 0; r < 60000; ++r) {
+    inputs.push_back(Json(r % 3 == 0 ? "10" : "01"));
+  }
+  eval.set("inputs", std::move(inputs));
+  const std::string long_line = eval.dump();
+  ASSERT_GT(long_line.size(), std::size_t{256} << 10);
+  Service reference;
+  ASSERT_TRUE(handle(reference, learn_request(pla)).at("ok").as_bool());
+  const std::string expected = reference.handle_line(long_line);
+
+  Client long_client;  // id 1, loop 1
+  connect_and_ping(&long_client, server.port());
+  Client sleeper;  // id 2, loop 0
+  connect_and_ping(&sleeper, server.port());
+  Client neighbor;  // id 3, loop 1
+  connect_and_ping(&neighbor, server.port());
+
+  const auto sent = hold_the_pool(&sleeper);
+  long_client.send_line(long_line);
+  // The long line queues behind the sleeping ping on the pool; its loop
+  // meanwhile answers the neighbor's eval.
+  Json small = make_request("eval");
+  small.set("model", learned.at("model").as_string());
+  Json row = Json::array();
+  row.push_back(Json("10"));
+  small.set("inputs", std::move(row));
+  const Json reply = neighbor.request(small);
+  EXPECT_TRUE(reply.at("ok").as_bool());
+  EXPECT_LT(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(300));
+
+  std::string response;
+  ASSERT_TRUE(long_client.recv_line(&response));
+  EXPECT_GE(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(400));
+  EXPECT_EQ(response, expected);
+  ASSERT_TRUE(sleeper.recv_line(&response));
+  EXPECT_TRUE(Json::parse(response).at("ok").as_bool());
+}
+
+TEST(ServerTest, DiskOnlyModelEvalWaitsForAWorkerWhileItsLoopAnswersOthers) {
+  const std::string dir = temp_dir("disk_eval_on_pool");
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  options.service.cache_dir = dir;
+  const std::string on_disk_pla =
+      pla_for(3, [](std::uint32_t r) { return r % 3 == 1; });
+  std::string on_disk;
+  Json disk_eval = make_request("eval");
+  std::string expected;
+  {
+    Service warm(options.service);  // a previous server run
+    on_disk = handle(warm, learn_request(on_disk_pla)).at("model").as_string();
+    disk_eval.set("model", on_disk);
+    Json inputs = Json::array();
+    inputs.push_back(Json("101"));
+    inputs.push_back(Json("010"));
+    disk_eval.set("inputs", std::move(inputs));
+    expected = warm.handle_line(disk_eval.dump());
+  }
+  Server server(options);
+  server.start();
+
+  Client setup;  // id 0, loop 0: puts a second model in memory
+  setup.connect("127.0.0.1", server.port());
+  const Json learned = Json::parse(setup.roundtrip(
+      learn_request(pla_for(2, [](std::uint32_t r) { return r != 2; }))
+          .dump()));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  Json memory_eval = make_request("eval");
+  memory_eval.set("model", learned.at("model").as_string());
+  Json row = Json::array();
+  row.push_back(Json("01"));
+  memory_eval.set("inputs", std::move(row));
+
+  Client disk_client;  // id 1, loop 1
+  connect_and_ping(&disk_client, server.port());
+  Client sleeper;  // id 2, loop 0
+  connect_and_ping(&sleeper, server.port());
+  Client neighbor;  // id 3, loop 1
+  connect_and_ping(&neighbor, server.port());
+
+  const auto sent = hold_the_pool(&sleeper);
+  // Reading a model from the disk level is file I/O: it waits for the
+  // worker, while its loop answers evals on models in memory.
+  disk_client.send_line(disk_eval.dump());
+  EXPECT_TRUE(neighbor.request(memory_eval).at("ok").as_bool());
+  EXPECT_LT(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(300));
+
+  std::string response;
+  ASSERT_TRUE(disk_client.recv_line(&response));
+  EXPECT_GE(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(400));
+  EXPECT_EQ(response, expected);
+  EXPECT_EQ(server.service().stats().model_disk_hits.load(), 1u);
+  // Now in memory, the same eval is answered on its loop again.
+  EXPECT_EQ(disk_client.roundtrip(disk_eval.dump()), expected);
+  ASSERT_TRUE(sleeper.recv_line(&response));
+  EXPECT_TRUE(Json::parse(response).at("ok").as_bool());
+  server.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, CapAndDrainHoldAcrossLoops) {
