@@ -8,9 +8,12 @@
 //                  [--max-regress 0.25] [--kernel scalar|avx2|neon]
 //
 // --json writes the machine-readable snapshot (BENCH_aig_core.json is the
-// committed baseline). --check re-reads such a snapshot and exits 1 when
-// the current engine simulation throughput or construction rate regressed
-// more than --max-regress (fraction) below it — the nightly perf gate.
+// committed baseline) with a `host` object (nproc, CPU model, SIMD
+// backend, build type, compiler). --check re-reads such a snapshot and
+// exits 1 when the current engine simulation throughput or construction
+// rate regressed more than --max-regress (fraction) below it — the
+// nightly perf gate. It refuses (exit 3, before measuring) a snapshot
+// whose host differs from this one.
 //
 // Every simulation case is measured once per available simd backend (the
 // per-kernel columns; the active auto-dispatched backend is starred and is
@@ -33,6 +36,7 @@
 #include "core/rng.hpp"
 #include "core/simd.hpp"
 #include "obs/registry.hpp"
+#include "bench_common.hpp"
 #include "server/json.hpp"
 
 namespace {
@@ -138,6 +142,19 @@ int main(int argc, char** argv) {
       return 2;
     }
     simd::force_backend(pinned);
+  }
+  server::Json baseline;
+  if (!check_path.empty()) {
+    std::ifstream is(check_path);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    if (!is) {
+      std::fprintf(stderr, "bench_aig_core: cannot read %s\n",
+                   check_path.c_str());
+      return 1;
+    }
+    baseline = server::Json::parse(buffer.str());
+    bench::require_same_host("bench_aig_core", check_path, baseline);
   }
   const simd::Backend active = simd::active_backend();
   // Per-kernel columns cover every backend this host can run — unless the
@@ -301,6 +318,7 @@ int main(int argc, char** argv) {
   server::Json out = server::Json::object();
   out.set("schema", "lsml-bench-aig-core-v2");
   out.set("scale", cfg.name());
+  out.set("host", bench::host_info());
   server::Json construction = server::Json::object();
   construction.set("nodes_per_s", build_rate);
   construction.set("lookups_per_s", lookup_rate);
@@ -353,15 +371,6 @@ int main(int argc, char** argv) {
   }
 
   if (!check_path.empty()) {
-    std::ifstream is(check_path);
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    if (!is) {
-      std::fprintf(stderr, "bench_aig_core: cannot read %s\n",
-                   check_path.c_str());
-      return 1;
-    }
-    const server::Json baseline = server::Json::parse(buffer.str());
     const double base_engine =
         baseline.at("simulation").at("engine_minterm_evals_per_s").as_double();
     const double base_build =

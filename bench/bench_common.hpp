@@ -10,16 +10,21 @@
 // task): bench_table3 populates the store and the Fig. 2/3/4 benches reuse
 // it, recomputing only the tasks whose inputs or code version changed.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/simd.hpp"
 #include "oracle/suite.hpp"
 #include "portfolio/contest.hpp"
 #include "portfolio/team.hpp"
+#include "server/json.hpp"
 #include "suite/runner.hpp"
 
 namespace lsml::bench {
@@ -79,6 +84,55 @@ inline std::vector<portfolio::TeamRun> team_runs(
               << ")\n\n";
   }
   return report.runs;
+}
+
+// ------------------------------------------------- host-tagged snapshots
+// A perf snapshot (BENCH_*.json) carries a `host` object, and `--check`
+// refuses a snapshot from another host: numbers from other hardware or
+// another build say nothing about a regression. LSML_BUILD_TYPE and
+// LSML_COMPILER are set for every bench by CMakeLists.txt.
+
+/// What the figures depend on besides the code: the machine and the build.
+inline server::Json host_info() {
+  std::string cpu = "?";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  server::Json host = server::Json::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  host.set("cpu", cpu);
+  host.set("simd", core::simd::ops().name);
+  host.set("build", LSML_BUILD_TYPE);
+  host.set("compiler", LSML_COMPILER);
+  return host;
+}
+
+/// `--check`'s exit code for a snapshot from another host, so a gate can
+/// tell "no baseline for this host" from a regression.
+constexpr int kOtherHostExit = 3;
+
+/// Exits with kOtherHostExit unless `snapshot` (read from `path`) was
+/// recorded on this host; `bench` names the binary in the message.
+inline void require_same_host(const char* bench, const std::string& path,
+                              const server::Json& snapshot) {
+  const server::Json here = host_info();
+  const server::Json* recorded = snapshot.find("host");
+  if (recorded != nullptr && recorded->dump() == here.dump()) {
+    return;
+  }
+  std::fprintf(stderr,
+               "%s: %s was recorded on another host; re-record it here "
+               "with --json\n  snapshot: %s\n  this run: %s\n",
+               bench, path.c_str(),
+               recorded != nullptr ? recorded->dump().c_str() : "(none)",
+               here.dump().c_str());
+  std::exit(kOtherHostExit);
 }
 
 /// Prints a numeric series as an aligned two-column table.

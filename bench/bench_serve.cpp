@@ -56,10 +56,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/event_loop.hpp"
 #include "core/rng.hpp"
-#include "core/simd.hpp"
 #include "obs/registry.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
@@ -452,27 +452,6 @@ RoundResult run_round(const std::string& host, int port,
 
 // ------------------------------------------------------------- snapshots
 
-/// What the figures depend on besides the code: the machine and the build.
-server::Json host_info() {
-  std::string cpu = "?";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      cpu = line.substr(line.find(':') + 2);
-      break;
-    }
-  }
-  server::Json host = server::Json::object();
-  host.set("nproc",
-           static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-  host.set("cpu", cpu);
-  host.set("simd", core::simd::ops().name);
-  host.set("build", LSML_BUILD_TYPE);
-  host.set("compiler", LSML_COMPILER);
-  return host;
-}
-
 server::Json read_snapshot(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -488,27 +467,6 @@ server::Json read_snapshot(const std::string& path) {
                  e.what());
     std::exit(1);
   }
-}
-
-constexpr int kOtherHostExit = 3;
-
-/// Refuses a snapshot recorded on another host (or before snapshots
-/// carried one), with its own exit code so a gate can tell "no baseline
-/// for this host" from a regression.
-void require_same_host(const std::string& path,
-                       const server::Json& snapshot) {
-  const server::Json here = host_info();
-  const server::Json* recorded = snapshot.find("host");
-  if (recorded != nullptr && recorded->dump() == here.dump()) {
-    return;
-  }
-  std::fprintf(stderr,
-               "bench_serve: %s was recorded on another host; re-record it "
-               "here with --json\n  snapshot: %s\n  this run: %s\n",
-               path.c_str(),
-               recorded != nullptr ? recorded->dump().c_str() : "(none)",
-               here.dump().c_str());
-  std::exit(kOtherHostExit);
 }
 
 /// Histogram summary for the snapshot's `obs` block: count plus
@@ -531,7 +489,7 @@ void write_snapshot(const std::string& path, const Options& options,
   root.set("mode", options.mode);
   root.set("rows", static_cast<std::int64_t>(options.rows));
   root.set("duration_s", options.duration_s);
-  root.set("host", host_info());
+  root.set("host", bench::host_info());
   if (in_process) {
     // Server-side telemetry is only visible when the server lives in this
     // process; under --connect the registry belongs to the remote daemon.
@@ -626,7 +584,7 @@ int main(int argc, char** argv) {
   server::Json baseline;
   if (!options.check_path.empty()) {
     baseline = read_snapshot(options.check_path);
-    require_same_host(options.check_path, baseline);
+    bench::require_same_host("bench_serve", options.check_path, baseline);
   }
 
   // The target server: external (--connect) or in-process.

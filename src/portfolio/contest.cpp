@@ -95,24 +95,16 @@ BenchmarkResult evaluate_on(learn::Learner& learner,
   // the deliverable respects the default pipeline's gate cap. Portfolio
   // teams enforce their own budget, so this pass almost always no-ops;
   // bare learners entered via --learners rely on it.
-  const synth::SynthOptions synth_options =
-      synth::default_opt_request().options;
-  bool budget_capped = false;
-  if (synth_options.node_budget > 0 &&
-      model.circuit.num_ands() > synth_options.node_budget) {
-    budget_capped = true;
-    const synth::PassManager manager(synth_options);
-    synth::SynthResult capped = manager.run(
-        model.circuit, synth::Script::approx_to(synth_options.node_budget),
-        &rng);
-    model.circuit = std::move(capped.circuit);
-    model.synth_trace.insert(model.synth_trace.end(), capped.trace.begin(),
-                             capped.trace.end());
+  const std::uint32_t budget = synth::default_opt_request().options.node_budget;
+  const bool budget_capped = budget > 0 && model.circuit.num_ands() > budget;
+  if (budget_capped) {
+    synth::BudgetFit fit =
+        synth::fit_to_budget(std::move(model.circuit), budget, rng);
+    model.circuit = std::move(fit.circuit);
+    model.synth_trace.insert(model.synth_trace.end(), fit.trace.begin(),
+                             fit.trace.end());
     // The artifact no longer equals whatever finish_model certified.
-    if (model.verified == synth::VerifyStatus::kExact ||
-        model.verified == synth::VerifyStatus::kUndecided) {
-      model.verified = synth::VerifyStatus::kSkippedApprox;
-    }
+    model.verified = synth::downgrade(model.verified, fit.change);
     model.method += "+budget";
   }
   // One bound engine scores every split the deliverable is measured on —

@@ -87,7 +87,7 @@ core::Rng contest_rng(std::uint64_t seed, int team_number, int benchmark_id);
 ///
 /// The deliverable honors the process-default synth::OptRequest's node
 /// budget unconditionally: if the learner hands back a circuit over
-/// budget, one approx script runs here (with the task RNG) and the
+/// budget, synth::fit_to_budget runs here (with the task RNG) and the
 /// accuracies are re-measured — so every exported artifact fits the
 /// contest's gate cap no matter which learner produced it.
 BenchmarkResult evaluate_on(learn::Learner& learner,

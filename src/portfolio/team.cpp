@@ -18,7 +18,6 @@
 #include "learn/rules.hpp"
 #include "portfolio/contest.hpp"
 #include "synth/pass_manager.hpp"
-#include "synth/script_search.hpp"
 #include "tt/truth_table.hpp"
 
 namespace lsml::portfolio {
@@ -28,73 +27,38 @@ using learn::TrainedModel;
 learn::TrainedModel select_best_within_budget(
     std::vector<learn::TrainedModel> candidates, const data::Dataset& train,
     const data::Dataset& valid, std::uint32_t node_budget, core::Rng& rng) {
-  int best = -1;
-  int best_any = -1;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto& c = candidates[i];
-    if (best_any < 0 ||
-        c.valid_acc > candidates[static_cast<std::size_t>(best_any)].valid_acc) {
-      best_any = static_cast<int>(i);
+  TrainedModel* best = nullptr;  // the best within budget
+  TrainedModel* best_any = nullptr;
+  for (TrainedModel& c : candidates) {
+    if (best_any == nullptr || c.valid_acc > best_any->valid_acc) {
+      best_any = &c;
     }
-    if (c.circuit.num_ands() > node_budget) {
-      continue;
-    }
-    if (best < 0 ||
-        c.valid_acc > candidates[static_cast<std::size_t>(best)].valid_acc ||
-        (c.valid_acc ==
-             candidates[static_cast<std::size_t>(best)].valid_acc &&
-         c.circuit.num_ands() <
-             candidates[static_cast<std::size_t>(best)].circuit.num_ands())) {
-      best = static_cast<int>(i);
+    if (c.circuit.num_ands() <= node_budget &&
+        (best == nullptr || c.valid_acc > best->valid_acc ||
+         (c.valid_acc == best->valid_acc &&
+          c.circuit.num_ands() < best->circuit.num_ands()))) {
+      best = &c;
     }
   }
-  if (best >= 0) {
-    return std::move(candidates[static_cast<std::size_t>(best)]);
+  if (best != nullptr) {
+    return std::move(*best);
   }
-  // Everything over budget: approximate the best one down (Team 1's
-  // method), expressed as a one-pass script through the pass manager.
-  TrainedModel& m = candidates[static_cast<std::size_t>(best_any)];
-  if (node_budget == 0) {
-    // A zero budget admits exactly one circuit shape: the majority
-    // constant (the approx pass treats 0 as "uncapped", so spell it out).
-    aig::Aig constant(static_cast<std::uint32_t>(train.num_inputs()));
-    constant.add_output(train.label_fraction() >= 0.5 ? aig::kLitTrue
-                                                      : aig::kLitFalse);
-    TrainedModel finished = learn::finish_model(
-        std::move(constant), m.method + "+approx", train, valid);
-    // Keep the discarded candidate's pipeline history, as below.
-    finished.synth_trace.insert(finished.synth_trace.begin(),
-                                m.synth_trace.begin(), m.synth_trace.end());
-    // The artifact's function was replaced outright; the re-finish's
-    // certification must not read as "exact" on the leaderboard.
-    if (finished.verified == synth::VerifyStatus::kExact ||
-        finished.verified == synth::VerifyStatus::kUndecided) {
-      finished.verified = synth::VerifyStatus::kSkippedApprox;
-    }
-    return finished;
-  }
-  synth::SynthOptions options = synth::default_opt_request().options;
-  options.node_budget = node_budget;
-  options.max_rounds = 1;
-  const synth::PassManager manager(options);
-  synth::SynthResult shrunk =
-      manager.run(m.circuit, synth::Script::approx_to(node_budget), &rng);
+  // Everything over budget: fit the best one to it (Team 1's method).
+  TrainedModel& m = *best_any;
+  synth::BudgetFit fit =
+      synth::fit_to_budget(std::move(m.circuit), node_budget, rng);
   TrainedModel finished = learn::finish_model(
-      std::move(shrunk.circuit), m.method + "+approx", train, valid);
+      std::move(fit.circuit), m.method + "+approx", train, valid);
   // The full story of this circuit: the candidate's own pipeline, then
-  // the approximation, then the post-approx re-finish.
-  shrunk.trace.insert(shrunk.trace.end(), finished.synth_trace.begin(),
-                      finished.synth_trace.end());
-  shrunk.trace.insert(shrunk.trace.begin(), m.synth_trace.begin(),
-                      m.synth_trace.end());
-  finished.synth_trace = std::move(shrunk.trace);
-  // Same downgrade as evaluate_on's +budget path: the approximation
-  // changed the function, so the re-finish's certificate covers only the
-  // post-approx pipeline run, never the candidate the team trained.
-  if (finished.verified == synth::VerifyStatus::kExact ||
-      finished.verified == synth::VerifyStatus::kUndecided) {
-    finished.verified = synth::VerifyStatus::kSkippedApprox;
-  }
+  // the fit, then the post-fit re-finish.
+  std::vector<synth::PassStats> trace = std::move(m.synth_trace);
+  trace.insert(trace.end(), fit.trace.begin(), fit.trace.end());
+  trace.insert(trace.end(), finished.synth_trace.begin(),
+               finished.synth_trace.end());
+  finished.synth_trace = std::move(trace);
+  // The re-finish's certificate covers only the post-fit pipeline run,
+  // never the candidate the team trained.
+  finished.verified = synth::downgrade(finished.verified, fit.change);
   return finished;
 }
 

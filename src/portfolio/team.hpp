@@ -61,8 +61,8 @@ struct TechniqueRow {
 std::vector<TechniqueRow> technique_matrix();
 
 /// Picks the best model by validation accuracy subject to the node budget;
-/// if every candidate is over budget, the best one is approximated down to
-/// the budget (Team 1's fallback).
+/// if every candidate is over budget, the best one goes through
+/// synth::fit_to_budget (Team 1's fallback) and is finished again.
 learn::TrainedModel select_best_within_budget(
     std::vector<learn::TrainedModel> candidates, const data::Dataset& train,
     const data::Dataset& valid, std::uint32_t node_budget, core::Rng& rng);

@@ -334,6 +334,7 @@ bool Server::take_line(Conn& conn, std::string line) {
     reject_oversized(conn);
     return false;
   }
+  conn.pending_bytes += line.size();
   conn.pending.push_back({std::move(line), std::chrono::steady_clock::now()});
   return true;
 }
@@ -423,6 +424,7 @@ void Server::run_queued(Conn& conn) {
     }
     Pending next = std::move(conn.pending.front());
     conn.pending.pop_front();
+    conn.pending_bytes -= next.line.size();
     spent += next.line.size();
     if (next.line.size() > kInlineLineBytes) {
       to_pool(conn, [this, next = std::move(next)] {
@@ -502,13 +504,14 @@ void Server::flush(Conn& conn) {
     conn.write_off = 0;
   }
   const std::size_t unsent = conn.write_buf.size() - conn.write_off;
-  if (!conn.read_paused && unsent > options_.write_high_water_bytes) {
-    // Backpressure: a reader this far behind stops driving new requests
-    // until it catches up.
+  const std::size_t high = options_.write_high_water_bytes;
+  if (!conn.read_paused && (unsent > high || conn.pending_bytes > high)) {
+    // Backpressure: a reader this far behind, or a writer this far ahead
+    // of its queue, stops driving new requests until it catches up.
     conn.read_paused = true;
     stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-  } else if (conn.read_paused &&
-             unsent <= options_.write_high_water_bytes / 2) {
+  } else if (conn.read_paused && unsent <= high / 2 &&
+             conn.pending_bytes <= high / 2) {
     conn.read_paused = false;
   }
   update_interest(conn);

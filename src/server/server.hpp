@@ -30,10 +30,11 @@
 // yields after kTurnBytes of request text so other connections on the
 // same loop get their turn during a pipelined burst.
 //
-// Backpressure: a connection whose write buffer climbs past
-// `write_high_water_bytes` (a slow or stalled reader) stops being read,
-// and stops running queued lines, until the buffer drains again — the
-// daemon's memory per connection stays bounded by high-water +
+// Backpressure: a connection whose write buffer (a slow reader) or queue
+// of framed, unrun lines (a writer far ahead of its pooled request) climbs
+// past `write_high_water_bytes` stops being read until both are back
+// under half the mark; a full write buffer also stops running queued
+// lines. Memory per connection stays bounded by high-water +
 // max_request_bytes no matter what the peer does.
 //
 // Robustness contract (pinned by tests/server_test.cpp): a malformed line
@@ -80,7 +81,8 @@ struct ServerOptions {
   /// Concurrent-connection cap; a connection past it is answered with one
   /// error line and closed. 0 = unlimited.
   std::size_t max_connections = 0;
-  /// Stop reading a connection whose unsent response bytes exceed this.
+  /// Stop reading a connection whose unsent response bytes, or whose
+  /// queued request bytes, exceed this.
   std::size_t write_high_water_bytes = 1u << 20;
   /// Fixed SO_SNDBUF for accepted sockets; 0 keeps kernel autotuning.
   /// Setting it bounds kernel-side memory per connection and makes the
@@ -101,8 +103,8 @@ struct ServerStats {
   obs::Counter over_connection_cap;
   obs::Counter oversized_rejects;
   obs::Counter io_errors;
-  /// Times a connection crossed the write high-water mark and had its
-  /// read side paused (the backpressure path).
+  /// Times a connection crossed the high-water mark (unsent replies or
+  /// queued requests) and had its read side paused (the backpressure path).
   obs::Counter backpressure_pauses;
 };
 
@@ -169,6 +171,7 @@ class Server {
     std::string write_buf;  ///< response bytes not yet accepted by send()
     std::size_t write_off = 0;
     std::deque<Pending> pending;  ///< framed lines not yet run
+    std::size_t pending_bytes = 0;  ///< their total size
     bool busy = false;         ///< one request is out on the pool
     bool read_open = true;     ///< peer has not EOF'd / errored
     bool read_paused = false;  ///< backpressure: EPOLLIN disabled

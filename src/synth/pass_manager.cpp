@@ -63,6 +63,50 @@ std::unordered_map<std::uint64_t, SynthResult>& memo_table() {
   return table;
 }
 
+/// Runs `fn` as the pass `name` on `from`: times it, records its metrics
+/// and a span, and appends its PassStats to `trace`.
+template <typename Fn>
+aig::Aig timed(std::vector<PassStats>& trace, const std::string& name,
+               const aig::Aig& from, Fn&& fn) {
+  PassStats stats;
+  stats.pass = name;
+  stats.ands_before = from.num_ands();
+  stats.levels_before = from.num_levels();
+  // Span names must outlive the tracer's rings; pass spellings are
+  // dynamic, so intern them (only when tracing is actually on).
+  obs::ScopedSpan span(
+      obs::Tracer::enabled() ? obs::intern_name(name) : nullptr, "synth");
+  const Clock::time_point t0 = Clock::now();
+  aig::Aig to = fn();
+  stats.ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  stats.ands_after = to.num_ands();
+  stats.levels_after = to.num_levels();
+  record_pass_metrics(name, stats.ms, stats.ands_before, stats.ands_after);
+  trace.push_back(std::move(stats));
+  return to;
+}
+
+/// Each output of `in` replaced by its majority value under random
+/// simulation: a circuit that fits any budget.
+aig::Aig majority_constant(const aig::Aig& in, core::Rng& rng) {
+  constexpr std::size_t kPatterns = 1024;
+  std::vector<core::BitVec> patterns(in.num_pis(), core::BitVec(kPatterns));
+  std::vector<const core::BitVec*> pi_values;
+  pi_values.reserve(patterns.size());
+  for (auto& p : patterns) {
+    p.randomize(rng);
+    pi_values.push_back(&p);
+  }
+  const auto sim = in.simulate(pi_values);
+  aig::Aig constant(in.num_pis());
+  for (std::size_t o = 0; o < in.num_outputs(); ++o) {
+    constant.add_output(2 * sim[o].count() >= kPatterns ? aig::kLitTrue
+                                                        : aig::kLitFalse);
+  }
+  return constant;
+}
+
 /// Smaller is better; depth breaks ties (the seed's final-balance rule).
 bool improves(const aig::Aig& candidate, const aig::Aig& best) {
   if (candidate.num_ands() != best.num_ands()) {
@@ -130,6 +174,45 @@ double trace_total_ms(const std::vector<PassStats>& trace) {
   return total;
 }
 
+BudgetFit fit_to_budget(aig::Aig in, std::uint32_t budget, core::Rng& rng) {
+  BudgetFit fit;
+  if (budget > 0) {
+    Pass spell;
+    spell.kind = PassKind::kApprox;
+    spell.node_budget = budget;
+    // Approximation can stall when output protection shields every node;
+    // dropping the shield always reaches a nonzero budget.
+    for (const std::uint32_t protect_depth :
+         {aig::ApproxOptions{}.protect_depth, 0u}) {
+      if (in.num_ands() <= budget) {
+        break;
+      }
+      fit.change = BudgetChange::kApprox;
+      aig::ApproxOptions approx;
+      approx.node_budget = budget;
+      approx.protect_depth = protect_depth;
+      in = timed(fit.trace, spell.spelling(), in, [&] {
+        return aig::approximate_to_budget(in, approx, rng);
+      });
+    }
+  }
+  if (in.num_ands() > budget) {
+    fit.change = BudgetChange::kConstant;
+    in = timed(fit.trace, "const", in,
+               [&] { return majority_constant(in, rng); });
+  }
+  fit.circuit = std::move(in);
+  return fit;
+}
+
+VerifyStatus downgrade(VerifyStatus status, BudgetChange change) {
+  if (change != BudgetChange::kNone &&
+      (status == VerifyStatus::kExact || status == VerifyStatus::kUndecided)) {
+    return VerifyStatus::kSkippedApprox;
+  }
+  return status;
+}
+
 std::uint32_t SynthResult::ands_in() const {
   return trace_ands_in(trace, circuit.num_ands());
 }
@@ -154,58 +237,22 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
   core::Rng& approx_rng = rng != nullptr ? *rng : fallback_rng;
 
   SynthResult result;
-  const auto timed = [&result](const std::string& name, const aig::Aig& from,
-                               auto&& fn) {
-    PassStats stats;
-    stats.pass = name;
-    stats.ands_before = from.num_ands();
-    stats.levels_before = from.num_levels();
-    // Span names must outlive the tracer's rings; pass spellings are
-    // dynamic, so intern them (only when tracing is actually on).
-    obs::ScopedSpan span(
-        obs::Tracer::enabled() ? obs::intern_name(name) : nullptr, "synth");
-    const Clock::time_point t0 = Clock::now();
-    aig::Aig to = fn();
-    stats.ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-    stats.ands_after = to.num_ands();
-    stats.levels_after = to.num_levels();
-    record_pass_metrics(name, stats.ms, stats.ands_before, stats.ands_after);
-    result.trace.push_back(std::move(stats));
-    return to;
-  };
-  const auto run_approx = [&](const aig::Aig& from, std::uint32_t budget,
-                              std::uint32_t protect_depth) {
-    aig::ApproxOptions approx;
-    approx.node_budget = budget;
-    approx.protect_depth = protect_depth;
-    Pass spell;
-    spell.kind = PassKind::kApprox;
-    spell.node_budget = budget;
-    return timed(spell.spelling(), from, [&] {
-      return aig::approximate_to_budget(from, approx, approx_rng);
-    });
-  };
-  // Approximation can stall when output-protection shields every node;
-  // dropping the shield always reaches the budget on nonzero circuits.
-  const auto shrink_to = [&](aig::Aig circuit, std::uint32_t budget) {
-    if (circuit.num_ands() > budget) {
-      circuit = run_approx(circuit, budget,
-                           aig::ApproxOptions{}.protect_depth);
-    }
-    if (circuit.num_ands() > budget) {
-      circuit = run_approx(circuit, budget, /*protect_depth=*/0);
-    }
-    return circuit;
+  // Set once a budget fit changed the function on purpose, so the verify
+  // hook has nothing exact left to certify.
+  BudgetChange changed = BudgetChange::kNone;
+  // Fits `circuit` to `budget` in place; true when that changed it.
+  const auto fit = [&](aig::Aig& circuit, std::uint32_t budget) {
+    BudgetFit f = fit_to_budget(std::move(circuit), budget, approx_rng);
+    circuit = std::move(f.circuit);
+    result.trace.insert(result.trace.end(), f.trace.begin(), f.trace.end());
+    changed = f.change != BudgetChange::kNone ? f.change : changed;
+    return f.change != BudgetChange::kNone;
   };
 
   aig::Aig current = in;
   // The monotonicity baseline: a run never beats cleanup by less than zero.
   aig::Aig best = in.cleanup();
   bool timed_out = false;
-  // Set once any approx/const step runs: the function differs from `in`
-  // on purpose, so the verify hook has nothing exact left to certify.
-  bool function_changed = false;
   const int rounds = options_.max_rounds > 1 ? options_.max_rounds : 1;
   for (int round = 0; round < rounds && !timed_out; ++round) {
     const std::uint32_t at_round_start = current.num_ands();
@@ -221,22 +268,23 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
           pass.kind == PassKind::kCleanup;
       switch (pass.kind) {
         case PassKind::kCleanup:
-          current = timed("c", current, [&] {
+          current = timed(result.trace, "c", current, [&] {
             return is_baseline ? best : current.cleanup();
           });
           break;
         case PassKind::kBalance:
-          current = timed("b", current, [&] { return aig::balance(current); });
+          current = timed(result.trace, "b", current,
+                          [&] { return aig::balance(current); });
           break;
         case PassKind::kRewrite:
         case PassKind::kRefactor:
-          current = timed(pass.spelling(), current, [&] {
+          current = timed(result.trace, pass.spelling(), current, [&] {
             return aig::rewrite(current, pass.effective_cut_size(),
                                 pass.effective_cuts_per_node());
           });
           break;
         case PassKind::kFraig:
-          current = timed(pass.spelling(), current, [&] {
+          current = timed(result.trace, pass.spelling(), current, [&] {
             sat::FraigOptions fraig_options;
             fraig_options.conflict_budget = pass.effective_conflict_budget();
             return sat::fraig(current, fraig_options, approx_rng);
@@ -245,9 +293,7 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
         case PassKind::kApprox: {
           const std::uint32_t budget =
               pass.node_budget > 0 ? pass.node_budget : options_.node_budget;
-          if (budget > 0 && current.num_ands() > budget) {
-            current = shrink_to(std::move(current), budget);
-            function_changed = true;
+          if (budget > 0 && fit(current, budget)) {
             // The function changed: earlier snapshots are incomparable.
             best = current;
           }
@@ -268,50 +314,26 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
   // returned circuit even when a late pass regressed.
   if (current.num_ands() != best.num_ands() ||
       current.num_levels() != best.num_levels()) {
-    current = timed("restore", current, [&] { return best; });
+    current = timed(result.trace, "restore", current, [&] { return best; });
   } else {
     current = best;
   }
 
-  // Budget guarantee: approximate down if the script left the circuit
-  // over, escalating until the cap provably holds.
-  if (options_.node_budget > 0 && current.num_ands() > options_.node_budget) {
-    current = shrink_to(std::move(current), options_.node_budget);
-    function_changed = true;
-  }
-  if (options_.node_budget > 0 && current.num_ands() > options_.node_budget) {
-    // Pathological fallback: a constant circuit always fits any budget.
-    // Each output gets its own majority constant under random simulation.
-    function_changed = true;
-    current = timed("const", current, [&] {
-      constexpr std::size_t kPatterns = 1024;
-      std::vector<core::BitVec> patterns(current.num_pis(),
-                                         core::BitVec(kPatterns));
-      std::vector<const core::BitVec*> pi_values;
-      pi_values.reserve(patterns.size());
-      for (auto& p : patterns) {
-        p.randomize(approx_rng);
-        pi_values.push_back(&p);
-      }
-      const auto sim = current.simulate(pi_values);
-      aig::Aig constant(current.num_pis());
-      for (std::size_t o = 0; o < current.num_outputs(); ++o) {
-        constant.add_output(2 * sim[o].count() >= kPatterns ? aig::kLitTrue
-                                                            : aig::kLitFalse);
-      }
-      return constant;
-    });
+  // Budget guarantee: fit the circuit if the script left it over.
+  if (options_.node_budget > 0) {
+    fit(current, options_.node_budget);
   }
 
   // The verify_equivalence hook: certify the whole script exact with one
   // sat::cec call on the (input, output) pair. Failure never escapes as a
   // wrong circuit — the run falls back to the input's cleanup.
   if (options_.verify_equivalence) {
-    if (function_changed) {
-      result.verify = VerifyStatus::kSkippedApprox;
+    if (changed != BudgetChange::kNone) {
+      // No verdict on `in` covers the fitted circuit.
+      result.verify = downgrade(VerifyStatus::kUndecided, changed);
     } else {
       sat::CecStatus cec_status = sat::CecStatus::kUndecided;
-      current = timed("verify", current, [&] {
+      current = timed(result.trace, "verify", current, [&] {
         sat::CecLimits limits;
         limits.conflict_budget = options_.verify_conflict_budget;
         cec_status = sat::cec(in, current, limits).status;
@@ -326,12 +348,12 @@ SynthResult PassManager::run(const aig::Aig& in, const Script& script,
           break;
         case sat::CecStatus::kNotEquivalent:
           result.verify = VerifyStatus::kFailed;
-          current = timed("restore", current, [&] { return in.cleanup(); });
-          if (options_.node_budget > 0 &&
-              current.num_ands() > options_.node_budget) {
-            // The baseline itself busts the cap; the budget guarantee
+          current = timed(result.trace, "restore", current,
+                          [&] { return in.cleanup(); });
+          if (options_.node_budget > 0) {
+            // The baseline may itself bust the cap; the budget guarantee
             // outranks exactness (and the status already says kFailed).
-            current = shrink_to(std::move(current), options_.node_budget);
+            fit(current, options_.node_budget);
           }
           break;
       }

@@ -8,9 +8,9 @@
 // treats as the environment. Two guarantees hold for every run:
 //
 //   1. Budget: when options.node_budget > 0, the returned circuit has at
-//      most that many AND gates — by approximation if the script's own
-//      passes cannot get there (the contest's 5000-AND cap, made a type-
-//      level contract instead of a per-team convention).
+//      most that many AND gates — through fit_to_budget if the script's
+//      own passes cannot get there (the contest's 5000-AND cap, made a
+//      type-level contract instead of a per-team convention).
 //   2. Monotonicity: functionality-preserving scripts never return more
 //      AND gates than `in.cleanup()` — a script that hurts is discarded
 //      in favor of the best intermediate snapshot.
@@ -50,7 +50,7 @@ bool verify_status_from_string(const std::string& text, VerifyStatus* out);
 /// The contract a PassManager run honors.
 struct SynthOptions {
   /// Hard AND-gate cap on the returned circuit; 0 = uncapped. Enforced by
-  /// an appended approx pass when the script leaves the circuit over.
+  /// fit_to_budget when the script leaves the circuit over.
   std::uint32_t node_budget = 5000;
   /// Script repetitions: the script re-runs while it keeps shrinking the
   /// circuit, up to this many times.
@@ -109,6 +109,27 @@ struct SynthResult {
   /// Total wall time across all passes.
   [[nodiscard]] double total_ms() const;
 };
+
+/// How fit_to_budget changed a circuit's function.
+enum class BudgetChange { kNone, kApprox, kConstant };
+
+struct BudgetFit {
+  aig::Aig circuit{0};
+  std::vector<PassStats> trace;  ///< "approx -n N" / "const" passes run
+  BudgetChange change = BudgetChange::kNone;
+};
+
+/// The one enforcer of an AND-gate cap, and the one step that trades
+/// exactness for size. Returns `in` untouched when it fits; otherwise runs
+/// Team 1's simulation-guided approximation with output protection, then
+/// without it, and falls back to each output's majority constant under
+/// random simulation. A zero budget goes straight to that constant.
+[[nodiscard]] BudgetFit fit_to_budget(aig::Aig in, std::uint32_t budget,
+                                      core::Rng& rng);
+
+/// A verdict on a circuit, carried over to its fit: kExact and kUndecided
+/// become kSkippedApprox once the function changed; others are unchanged.
+[[nodiscard]] VerifyStatus downgrade(VerifyStatus status, BudgetChange change);
 
 class PassManager {
  public:

@@ -232,16 +232,6 @@ std::vector<std::string> Script::preset_names() {
   return {"fast", "resyn2", "resyn2fs", "compress2max"};
 }
 
-Script Script::approx_to(std::uint32_t node_budget) {
-  Script script;
-  script.name = "approx";
-  Pass pass;
-  pass.kind = PassKind::kApprox;
-  pass.node_budget = node_budget;
-  script.passes.push_back(pass);
-  return script;
-}
-
 Script Script::named_or_parse(const std::string& text) {
   for (const std::string& name : preset_names()) {
     if (text == name) {

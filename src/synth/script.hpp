@@ -84,10 +84,6 @@ struct Script {
 
   /// Preset lookup first, then parse: what CLI surfaces accept.
   static Script named_or_parse(const std::string& text);
-
-  /// Single-pass "approx -n <budget>" script: the portfolios' over-budget
-  /// fallback, expressed as a script instead of an ad-hoc call.
-  static Script approx_to(std::uint32_t node_budget);
 };
 
 }  // namespace lsml::synth

@@ -846,7 +846,7 @@ TEST(PassManager, VerifyEquivalenceHookCertifiesAndSkipsApprox) {
 
   // An approx pass intentionally changes the function: nothing to certify.
   const synth::SynthResult approximated =
-      synth::PassManager(verified).run(g, synth::Script::approx_to(5));
+      synth::PassManager(verified).run(g, synth::Script::parse("approx -n 5"));
   EXPECT_EQ(approximated.verify, synth::VerifyStatus::kSkippedApprox);
   EXPECT_LE(approximated.circuit.num_ands(), 5u);
 

@@ -1574,6 +1574,59 @@ TEST(ServerTest, SlowReaderTriggersBackpressureAndLosesNothing) {
   EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
 }
 
+TEST(ServerTest, QueuedRequestsPauseReadingWhileAPooledOneRuns) {
+  // A sleeping ping holds the only worker, and the same connection
+  // pipelines 8 MB of pings behind it. None can run before the sleep
+  // ends, so the queue itself must cross the high-water mark and pause
+  // the read side; afterwards every ping is answered, in order.
+  ServerOptions options = test_server_options();
+  options.num_threads = 1;
+  Server server(options);
+  server.start();
+
+  constexpr std::int64_t kSleepMs = 2000;
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  Json sleepy = make_request("ping");
+  sleepy.set("id", std::int64_t{-1});
+  sleepy.set("sleep_ms", kSleepMs);
+  const std::uint64_t pings0 = server.service().stats().pings.load();
+  const auto sent = std::chrono::steady_clock::now();
+  client.send_line(sleepy.dump());
+
+  constexpr int kPings = 32768;
+  const std::string pad(240, 'x');
+  std::string burst;
+  for (int i = 0; i < kPings; ++i) {
+    Json ping = make_request("ping");
+    ping.set("id", std::int64_t{i});
+    ping.set("pad", pad);
+    burst += ping.dump() + "\n";
+  }
+  ASSERT_GE(burst.size(), std::size_t{8} << 20);
+  std::thread writer([&] { client.send_raw(burst); });
+
+  while (server.stats().backpressure_pauses.load() == 0 &&
+         std::chrono::steady_clock::now() - sent <
+             std::chrono::milliseconds(kSleepMs - 500)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
+  // No ping has finished yet, the sleeping one included.
+  EXPECT_EQ(server.service().stats().pings.load(), pings0);
+
+  std::string line;
+  ASSERT_TRUE(client.recv_line(&line));
+  EXPECT_EQ(Json::parse(line).at("id").as_int(), -1);
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(client.recv_line(&line)) << i;
+    const Json reply = Json::parse(line);
+    ASSERT_TRUE(reply.at("ok").as_bool()) << i;
+    ASSERT_EQ(reply.at("id").as_int(), i);
+  }
+  writer.join();
+}
+
 TEST(ServerTest, ConnectionCapRejectsTheExtraClient) {
   ServerOptions options = test_server_options();
   options.max_connections = 2;

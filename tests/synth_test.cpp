@@ -11,6 +11,7 @@
 #include "learn/factory.hpp"
 #include "oracle/suite.hpp"
 #include "portfolio/contest.hpp"
+#include "portfolio/team.hpp"
 #include "synth/pass_manager.hpp"
 #include "synth/script.hpp"
 #include "synth/script_search.hpp"
@@ -62,7 +63,7 @@ TEST(Script, PresetsResolveAndFingerprintsDiffer) {
   // A parsed script spelled like a preset fingerprints like it too.
   EXPECT_EQ(Script::parse("c; b; rw").fingerprint(),
             Script::preset("fast").fingerprint());
-  EXPECT_EQ(Script::approx_to(50).str(), "approx -n 50");
+  EXPECT_EQ(Script::parse("approx -n 50").str(), "approx -n 50");
 }
 
 // ------------------------------------------------- preset property tests
@@ -173,6 +174,65 @@ TEST(PassManager, ExplicitApproxPassRespectsItsOwnBudget) {
       << "...but the script's own approx budget still applies";
 }
 
+// ---------------------------------------------------------- fit_to_budget
+
+TEST(FitToBudget, FitsEveryBudgetAndNamesTheChange) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    core::Rng gen(static_cast<std::uint64_t>(seed) * 131 + 7);
+    aig::ConeOptions cone;
+    cone.num_inputs = 9;
+    cone.num_ands = 260;
+    cone.flavor = seed % 2 ? aig::ConeFlavor::kXorRich
+                           : aig::ConeFlavor::kRandom;
+    const aig::Aig g = aig::random_cone(cone, gen);
+    ASSERT_GT(g.num_ands(), 50u);
+    for (const std::uint32_t budget : {0u, 1u, 50u, g.num_ands(), 1u << 20}) {
+      core::Rng rng(static_cast<std::uint64_t>(seed));
+      const BudgetFit fit = fit_to_budget(g, budget, rng);
+      EXPECT_LE(fit.circuit.num_ands(), budget)
+          << "seed " << seed << " budget " << budget;
+      if (budget >= g.num_ands()) {
+        EXPECT_EQ(fit.change, BudgetChange::kNone);
+        EXPECT_EQ(fit.circuit.content_hash(), g.content_hash());
+        EXPECT_TRUE(fit.trace.empty());
+        continue;
+      }
+      EXPECT_EQ(fit.change, budget == 0 ? BudgetChange::kConstant
+                                        : BudgetChange::kApprox)
+          << "seed " << seed << " budget " << budget;
+      // The trace reconciles with the input and the returned circuit.
+      ASSERT_FALSE(fit.trace.empty());
+      EXPECT_EQ(fit.trace.front().ands_before, g.num_ands());
+      EXPECT_EQ(fit.trace.back().ands_after, fit.circuit.num_ands());
+      EXPECT_EQ(fit.trace.back().pass,
+                budget == 0 ? "const" : "approx -n " + std::to_string(budget));
+      EXPECT_EQ(fit.circuit.num_pis(), g.num_pis());
+      EXPECT_EQ(fit.circuit.num_outputs(), g.num_outputs());
+
+      core::Rng again_rng(static_cast<std::uint64_t>(seed));
+      EXPECT_EQ(fit_to_budget(g, budget, again_rng).circuit.content_hash(),
+                fit.circuit.content_hash())
+          << "the fit is a function of (circuit, budget, rng)";
+    }
+  }
+}
+
+TEST(FitToBudget, DowngradeTable) {
+  using V = VerifyStatus;
+  const V all[] = {V::kNotRequested, V::kExact, V::kUndecided,
+                   V::kSkippedApprox, V::kFailed};
+  for (const V status : all) {
+    EXPECT_EQ(downgrade(status, BudgetChange::kNone), status);
+    const V changed = status == V::kExact || status == V::kUndecided
+                          ? V::kSkippedApprox
+                          : status;
+    EXPECT_EQ(downgrade(status, BudgetChange::kApprox), changed)
+        << to_string(status);
+    EXPECT_EQ(downgrade(status, BudgetChange::kConstant), changed)
+        << to_string(status);
+  }
+}
+
 // ----------------------------------------------------------- memo + tasks
 
 TEST(PassManager, MemoDeduplicatesStructurallyIdenticalCircuits) {
@@ -262,6 +322,98 @@ TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
   EXPECT_LE(circuit.num_ands(), 100u);
   EXPECT_NE(result.method.find("+budget"), std::string::npos);
   EXPECT_FALSE(result.synth_trace.empty());
+}
+
+
+// ------------------------------------------------------ budget pins
+// Content hashes and traces of the three over-budget paths, captured
+// before they were routed through one budget enforcer: that refactor
+// must not move a byte or an RNG draw.
+
+std::string trace_text(const std::vector<PassStats>& trace) {
+  std::string out;
+  for (const PassStats& s : trace) {
+    out += s.pass + ":" + std::to_string(s.ands_before) + ">" +
+           std::to_string(s.ands_after) + ";";
+  }
+  return out;
+}
+
+TEST(BudgetPins, EndOfScriptGuaranteeOnAContestSizedCircuit) {
+  // A chain whose every gate feeds the next one, so cleanup keeps it all.
+  core::Rng rng(2024);
+  aig::Aig g(14);
+  std::vector<aig::Lit> lits;
+  for (std::uint32_t i = 0; i < 14; ++i) {
+    lits.push_back(g.pi(i));
+  }
+  aig::Lit prev = g.pi(0);
+  for (int i = 0; i < 3000; ++i) {
+    const aig::Lit other =
+        lits[rng.next() % lits.size()] ^ static_cast<aig::Lit>(rng.next() & 1);
+    prev = rng.next() % 2 ? g.xor2(prev, other) : g.and2(prev, other);
+    lits.push_back(prev);
+  }
+  g.add_output(prev);
+  ASSERT_GT(g.cleanup().num_ands(), 5000u);
+
+  SynthOptions options;  // the contest's 5000-AND cap
+  options.verify_equivalence = true;
+  const SynthResult result = PassManager(options).run(g, Script::parse("c; b"));
+  EXPECT_LE(result.circuit.num_ands(), 5000u);
+  EXPECT_EQ(result.verify, VerifyStatus::kSkippedApprox);
+  EXPECT_EQ(result.circuit.content_hash(), 6189427317057318029ULL);
+  EXPECT_EQ(trace_text(result.trace),
+            "c:5911>5911;b:5911>5911;approx -n 5000:5911>4858;");
+}
+
+TEST(BudgetPins, SelectBestWithinBudgetApproximatesTheBestCandidate) {
+  core::Rng rng(77);
+  data::Dataset train(10, 128);
+  for (std::size_t c = 0; c < 10; ++c) {
+    train.column(c).randomize(rng);
+  }
+  train.labels().randomize(rng);
+  std::vector<learn::TrainedModel> candidates;
+  for (int i = 0; i < 2; ++i) {
+    aig::ConeOptions cone;
+    cone.num_inputs = 10;
+    cone.num_ands = 300;
+    learn::TrainedModel m;
+    m.circuit = aig::random_cone(cone, rng);
+    m.method = "cand" + std::to_string(i);
+    m.valid_acc = 0.5 + 0.1 * i;
+    candidates.push_back(std::move(m));
+  }
+  core::Rng task_rng(5);
+  const learn::TrainedModel picked = portfolio::select_best_within_budget(
+      std::move(candidates), train, train, 60, task_rng);
+  EXPECT_EQ(picked.method, "cand1+approx");
+  EXPECT_LE(picked.circuit.num_ands(), 60u);
+  EXPECT_EQ(picked.circuit.content_hash(), 15746096979474594205ULL);
+  EXPECT_EQ(trace_text(picked.synth_trace),
+            "approx -n 60:172>57;c:57>57;b:57>57;rw:57>43;c:43>43;b:43>42;"
+            "rw:42>34;c:34>34;b:34>34;rw:34>31;");
+  EXPECT_EQ(task_rng.next(), 13005106688899498383ULL) << "RNG draws moved";
+}
+
+TEST(BudgetPins, EvaluateOnBudgetPath) {
+  OptRequest small = default_opt_request();
+  small.options.node_budget = 100;
+  const ScopedOptRequest scoped(small);
+
+  oracle::SuiteOptions suite_options;
+  suite_options.rows_per_split = 64;
+  const oracle::Benchmark bench = oracle::make_benchmark(30, suite_options);
+  RogueLearner rogue;
+  core::Rng rng(9);
+  aig::Aig circuit{0};
+  const portfolio::BenchmarkResult result =
+      portfolio::evaluate_on(rogue, bench, rng, &circuit);
+  EXPECT_EQ(result.method, "rogue+budget");
+  EXPECT_EQ(circuit.content_hash(), 9467774237825089791ULL);
+  EXPECT_EQ(trace_text(result.synth_trace), "approx -n 100:180>91;");
+  EXPECT_EQ(rng.next(), 12858569494970712675ULL) << "RNG draws moved";
 }
 
 }  // namespace

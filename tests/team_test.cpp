@@ -132,6 +132,30 @@ TEST(SelectBest, ApproximatesWhenNothingFits) {
   EXPECT_NE(chosen.method.find("approx"), std::string::npos);
 }
 
+TEST(SelectBest, ZeroBudgetFallbackIsTheFitsMajorityConstant) {
+  // Nothing fits zero ANDs: the candidate goes through fit_to_budget, whose
+  // constant is each output's majority under random simulation of the
+  // candidate (not the training labels' majority).
+  aig::Aig big(3);
+  big.add_output(big.or2(big.or2(big.pi(0), big.pi(1)), big.pi(2)));
+  data::Dataset train(3, 64);
+  learn::TrainedModel candidate;
+  candidate.circuit = big;
+  candidate.method = "or3";
+  candidate.synth_trace.push_back({"c", 2, 2, 2, 2, 0.0});
+
+  core::Rng rng(8);
+  const auto chosen = select_best_within_budget({candidate}, train, train,
+                                                /*node_budget=*/0, rng);
+  EXPECT_EQ(chosen.method, "or3+approx");
+  ASSERT_EQ(chosen.circuit.num_ands(), 0u);
+  EXPECT_EQ(chosen.circuit.output(0), aig::kLitTrue)
+      << "OR3 is 1 on 7/8 of the inputs, whatever the (all-zero) labels say";
+  ASSERT_GE(chosen.synth_trace.size(), 2u);
+  EXPECT_EQ(chosen.synth_trace[0].pass, "c") << "the candidate's history";
+  EXPECT_EQ(chosen.synth_trace[1].pass, "const");
+}
+
 TEST(Teams, Team10EndToEndOnComparator) {
   const auto bench = tiny_benchmark(30);  // 10-bit comparator
   TeamOptions options;
