@@ -81,12 +81,10 @@ constexpr const char* kUsage =
     "      --threads N          workers (0 = hardware)    [0]\n"
     "      --seed S             contest seed              [2020]\n"
     "      --scale smoke|fast|full  team grid sizes       [fast]\n"
-    "      --opt-script S       preset, pass script, or auto  [fast]\n"
+    "      --opt-script S       preset or pass script     [fast]\n"
     "                           (presets: fast, resyn2, resyn2fs,\n"
     "                            compress2max; script syntax e.g.\n"
-    "                            \"b;rw;b;rw -k 6\" or \"b;rw;fs -c 500\";\n"
-    "                            auto = learned per-circuit script search,\n"
-    "                            experience kept in the result cache)\n"
+    "                            \"b;rw;b;rw -k 6\" or \"b;rw;fs -c 500\")\n"
     "      --max-gates N        AND-gate cap on artifacts [5000, 0 = off]\n"
     "      --opt-rounds N       script repetitions        [3]\n"
     "      --time-budget-ms N   soft run budget, 0 = off  [0]\n"
@@ -96,15 +94,12 @@ constexpr const char* kUsage =
     "                           Perfetto) of the run's spans on exit\n"
     "  synth <in.aag>   optimize one AIGER file, print the pass trace\n"
     "                   (`-` reads the AIGER text from stdin)\n"
-    "      --script S           preset, pass script, or auto [resyn2]\n"
+    "      --script S           preset or pass script     [resyn2]\n"
     "                           (--opt-script is an alias; presets include\n"
-    "                            resyn2fs = resyn2 + SAT sweeping; auto\n"
-    "                            searches per circuit, learns across runs)\n"
+    "                            resyn2fs = resyn2 + SAT sweeping)\n"
     "      --max-gates N        AND-gate cap              [5000, 0 = off]\n"
     "      --rounds N           script repetitions        [1]\n"
-    "      --seed S             approximation + auto-search RNG seed\n"
-    "      --cache DIR          auto-search experience    [.lsml-cache]\n"
-    "      --no-cache           search cold, remember nothing\n"
+    "      --seed S             approximation RNG seed\n"
     "      --out FILE           write the optimized AIGER here\n"
     "      --verify             SAT-certify the run (exit 1 if it failed)\n"
     "      --trace-out FILE     write a Chrome trace of the pass spans\n"
@@ -130,7 +125,7 @@ constexpr const char* kUsage =
     "      --no-cache           disable the on-disk model store\n"
     "      --opt-script S --max-gates N --opt-rounds N --verify\n"
     "                           optimization request applied to every learn\n"
-    "                           request (auto = per-circuit script search)\n"
+    "                           request\n"
     "                           [fast, 5000, 3, off]\n"
     "      --trace-out FILE     dump a Chrome trace of request spans on\n"
     "                           shutdown (SIGINT/SIGTERM)\n"
@@ -227,13 +222,12 @@ bool flag_value(const std::vector<std::string>& args, std::size_t* i,
 
 /// One parser for the optimization-request flags every optimization
 /// surface shares (`run`, `synth`, `serve`): --opt-script/--script S
-/// (preset, pass syntax, or "auto"), --max-gates N, --opt-rounds/--rounds
-/// N, --verify. A command seeds the request with its own defaults, lets
+/// (preset or pass syntax), --max-gates N, --opt-rounds/--rounds N,
+/// --verify. A command seeds the request with its own defaults, lets
 /// try_flag() consume what it recognizes inside its option loop, and calls
 /// finish() once — which validates the script and reports any failure in
 /// the one shared usage-error format. Command-specific semantics (seeds,
-/// time budgets, experience directories) are applied by the caller through
-/// request().
+/// time budgets) are applied by the caller through request().
 class OptRequestFlags {
  public:
   enum class Status { kNotMine, kConsumed, kBad };
@@ -278,8 +272,7 @@ class OptRequestFlags {
   }
 
   /// Validates the accumulated script text; prints the shared usage error
-  /// and returns false when it is neither "auto", a preset, nor valid pass
-  /// syntax.
+  /// and returns false when it is neither a preset nor valid pass syntax.
   bool finish() {
     try {
       request_.validate();
@@ -490,9 +483,6 @@ int cmd_run(const std::vector<std::string>& args) {
     return kExitUsage;  // a bad --opt-script is a bad command line
   }
   options.opt = opt_flags.request();
-  // One --seed steers every random stream of the run: the contest RNG and
-  // (under --opt-script auto) the script search.
-  options.opt.search_seed = options.seed;
   const std::uint32_t max_gates = options.opt.options.node_budget;
 
   portfolio::TeamOptions team_options;
@@ -587,7 +577,6 @@ int cmd_synth(const std::vector<std::string>& args) {
   const std::string in_path = args[0];
   std::string out_path;
   std::string trace_out;
-  std::string cache_dir = ".lsml-cache";
   OptRequestFlags opt_flags("resyn2", 1);
   for (std::size_t i = 1; i < args.size(); ++i) {
     std::string value;
@@ -608,20 +597,12 @@ int cmd_synth(const std::vector<std::string>& args) {
       if (!flag_value(args, &i, &value) || !parse_u64(value, &u)) {
         return kExitUsage;
       }
-      // One seed steers both randomized approximation and the auto search.
       opt_flags.request().options.approx_seed = u;
-      opt_flags.request().search_seed = u;
     } else if (args[i] == "--time-budget-ms") {
       if (!flag_value(args, &i, &value) || !parse_u64(value, &u)) {
         return kExitUsage;
       }
       opt_flags.request().options.time_budget_ms = static_cast<std::int64_t>(u);
-    } else if (args[i] == "--cache") {
-      if (!flag_value(args, &i, &cache_dir)) {
-        return kExitUsage;
-      }
-    } else if (args[i] == "--no-cache") {
-      cache_dir.clear();
     } else if (args[i] == "--trace-out") {
       if (!flag_value(args, &i, &trace_out)) {
         return kExitUsage;
@@ -635,11 +616,7 @@ int cmd_synth(const std::vector<std::string>& args) {
   if (!opt_flags.finish()) {
     return kExitUsage;  // a bad --script is a bad command line
   }
-  synth::OptRequest request = opt_flags.request();
-  // Auto searches remember what they learn next to the run cache, so the
-  // second `lsml synth --opt-script auto` over a similar circuit answers
-  // from experience instead of searching again.
-  request.experience_dir = cache_dir;
+  const synth::OptRequest& request = opt_flags.request();
 
   const aig::Aig in =
       in_path == "-" ? aig::read_aag(std::cin) : aig::read_aag_file(in_path);
@@ -654,17 +631,8 @@ int cmd_synth(const std::vector<std::string>& args) {
   std::printf("%s: %u inputs, %u AND gates, %u levels\n", in_path.c_str(),
               in.num_pis(), in.num_ands(), in.num_levels());
   std::printf("script %s (%s), max-gates %u, rounds %d\n",
-              request.is_auto() ? "auto" : outcome.script.name.c_str(),
-              outcome.script.str().c_str(), request.options.node_budget,
-              request.options.max_rounds);
-  if (request.is_auto()) {
-    // The one greppable line describing how auto decided: "searched" on a
-    // cold feature bucket, "experience" when the stored script answered.
-    std::printf("auto: %s winner after %d candidate(s), experience %s\n",
-                outcome.from_policy ? "experience" : "searched",
-                outcome.candidates_evaluated,
-                cache_dir.empty() ? "off" : cache_dir.c_str());
-  }
+              outcome.script.name.c_str(), outcome.script.str().c_str(),
+              request.options.node_budget, request.options.max_rounds);
   std::printf("\n");
   std::printf("%-14s %9s %9s %8s %8s %9s\n", "pass", "ands", "->", "levels",
               "->", "ms");
@@ -872,12 +840,11 @@ int cmd_serve(const std::vector<std::string>& args) {
   // default the synth op's per-request overrides start from. Installed
   // process-wide before the Service exists (the documented
   // set_default_opt_request contract); requests cannot change it, only a
-  // restart can. Auto experience lives next to the on-disk model store.
+  // restart can.
   if (!opt_flags.finish()) {
     return kExitUsage;  // a bad --opt-script is a bad command line
   }
-  synth::OptRequest request = opt_flags.request();
-  request.experience_dir = options.service.cache_dir;
+  const synth::OptRequest& request = opt_flags.request();
   synth::set_default_opt_request(request);
 
   if (!trace_out.empty()) {

@@ -7,7 +7,6 @@
 #include "learn/dt.hpp"
 #include "learn/espresso_learner.hpp"
 #include "learn/forest.hpp"
-#include "learn/search_learner.hpp"
 
 namespace lsml::learn {
 
@@ -38,14 +37,6 @@ Registry& registry() {
     f["espresso"] = [] {
       return std::make_unique<EspressoLearner>(sop::EspressoOptions{},
                                                "espresso");
-    };
-    // "search" wraps dt with a per-circuit learned script (ScriptSearch).
-    // Capture dt's Fn directly: from_registry here would re-enter the
-    // call_once that is constructing this registry and deadlock.
-    const LearnerFactory::Fn dt_fn = f["dt"];
-    f["search"] = [dt_fn] {
-      return std::make_unique<SearchLearner>(LearnerFactory("dt", dt_fn),
-                                             "search");
     };
   });
   return instance;

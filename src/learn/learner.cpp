@@ -43,9 +43,7 @@ std::vector<double> circuit_accuracies(aig::SimEngine& engine,
 TrainedModel finish_model(aig::Aig circuit, std::string method,
                           const data::Dataset& train,
                           const data::Dataset& valid) {
-  // The unified optimization entry: a fixed request is one memoized
-  // pass-manager run; an "auto" request searches (or recalls) a script for
-  // this circuit's features.
+  // The unified optimization entry: one memoized pass-manager run.
   const std::shared_ptr<const synth::ScriptSearch> optimizer =
       synth::default_optimizer();
   synth::OptOutcome optimized = optimizer->optimize(circuit);

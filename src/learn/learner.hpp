@@ -12,8 +12,7 @@
 // synth::OptRequest (the installed synth::default_optimizer(); memoized
 // by circuit structure) exactly once and records the pass trace. No
 // learner runs AIG passes directly; "how circuits get optimized" is the
-// pass manager's contract, not each learner's habit. Under an "auto"
-// request the script itself is chosen per circuit by synth::ScriptSearch.
+// pass manager's contract, not each learner's habit.
 
 #include <memory>
 #include <string>
@@ -40,9 +39,8 @@ struct TrainedModel {
   /// pass-manager run, not the learner: a later approximation downgrades
   /// it to kSkippedApprox (and is also visible in the method suffix).
   synth::VerifyStatus verified = synth::VerifyStatus::kNotRequested;
-  /// Canonical text of the script that optimized `circuit` — the request's
-  /// own script, or the per-circuit winner when the installed request was
-  /// "auto". Feeds the leaderboard's script column.
+  /// Canonical text of the script that optimized `circuit` (the installed
+  /// request's). Feeds the leaderboard's script column.
   std::string opt_script;
 };
 
@@ -72,9 +70,8 @@ std::vector<double> circuit_accuracies(aig::SimEngine& engine,
 
 /// Optimizes the raw circuit through the process-default synth::OptRequest
 /// (memoized on circuit structure, so identical circuits across teams
-/// optimize once per process; an "auto" default searches per circuit),
-/// then measures train/valid accuracies of the optimized AIG. The
-/// returned model honors the request's node budget.
+/// optimize once per process), then measures train/valid accuracies of
+/// the optimized AIG. The returned model honors the request's node budget.
 TrainedModel finish_model(aig::Aig circuit, std::string method,
                           const data::Dataset& train,
                           const data::Dataset& valid);

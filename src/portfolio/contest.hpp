@@ -42,9 +42,8 @@ struct BenchmarkResult {
   /// kSkippedApprox. Persisted by suite::ResultCache.
   synth::VerifyStatus verified = synth::VerifyStatus::kNotRequested;
   /// Canonical text of the optimization script behind this artifact (the
-  /// leaderboard's script column) — the installed request's script, or the
-  /// per-circuit search winner under --opt-script auto. Persisted by
-  /// suite::ResultCache.
+  /// leaderboard's script column) — the installed request's script.
+  /// Persisted by suite::ResultCache.
   std::string opt_script;
 
   /// AND gates entering the pipeline (the raw lowered circuit).

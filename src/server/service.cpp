@@ -719,13 +719,10 @@ Json Service::handle_eval(const Request& parsed) {
 
 Json Service::handle_synth(const Json& request, const Deadline& deadline) {
   const aig::Aig in = parse_aag_payload(required_string(request, "aag"), "aag");
-  // Per-request overrides on top of the installed request: script (or
-  // "auto", which searches with the construction-time experience
-  // snapshot), budgets, seed, verify. The options reset to the op's own
-  // defaults first, so a request without a field gets the exact response
-  // it always got regardless of what the daemon was started with.
-  synth::OptRequest req = optimizer_->request();
-  req.options = synth::SynthOptions{};
+  // Per-request script, budgets, seed and verify over the op's own
+  // defaults, so a request without a field gets the exact response it
+  // always got regardless of what the daemon was started with.
+  synth::OptRequest req;
   req.script = [&] {
     const Json* s = optional_member(request, "script");
     if (s == nullptr) {
@@ -748,11 +745,6 @@ Json Service::handle_synth(const Json& request, const Deadline& deadline) {
   req.options.approx_seed = static_cast<std::uint64_t>(optional_int(
       request, "seed", static_cast<std::int64_t>(req.options.approx_seed), 0,
       INT64_MAX));
-  if (optional_member(request, "seed") != nullptr) {
-    // One seed field steers both randomized approximation and the auto
-    // search stream.
-    req.search_seed = req.options.approx_seed;
-  }
   req.options.verify_equivalence = optional_bool(request, "verify", false);
   if (deadline.active()) {
     if (deadline.expired()) {
@@ -767,13 +759,6 @@ Json Service::handle_synth(const Json& request, const Deadline& deadline) {
   stats_.synths.fetch_add(1, std::memory_order_relaxed);
   Json r = response_base(request, "synth", true);
   r.set("script", out.script.str());
-  if (req.is_auto()) {
-    // The winner's identity, only when the caller asked for search —
-    // fixed-script responses stay byte-identical to older builds.
-    char fp[17];
-    std::snprintf(fp, sizeof fp, "%016" PRIx64, out.script.fingerprint());
-    r.set("script_fp", std::string(fp));
-  }
   r.set("ands_in", out.result.ands_in());
   r.set("ands", out.result.circuit.num_ands());
   r.set("levels", out.result.circuit.num_levels());

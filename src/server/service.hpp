@@ -16,9 +16,8 @@
 //          transposes that block into PI columns, 64 rows by 64 columns
 //          at a time. The row cap is checked on the row count before any
 //          column is allocated.
-//   synth  AIGER text + script string -> optimized AIGER + pass trace;
-//          script "auto" runs the per-circuit synth::ScriptSearch and the
-//          response names the winner (script + script_fp)
+//   synth  AIGER text + script string (preset or pass list) -> optimized
+//          AIGER + pass trace
 //   cec    two AIGER payloads -> verdict + counterexample cube
 //   ping   liveness (optional server-side sleep, for load/deadline tests)
 //   stats  service counters (intentionally non-deterministic, like metrics)
@@ -42,9 +41,8 @@
 // `eval` requests for already-learned models without refitting.
 //
 // Determinism contract: every response except `stats` is a pure function
-// of the request (given a fixed installed OptRequest and experience
-// snapshot), with no wall times or
-// cache-hit markers in the body — so N concurrent clients replaying a
+// of the request (given a fixed installed OptRequest), with no wall times
+// or cache-hit markers in the body — so N concurrent clients replaying a
 // request set get byte-identical lines to a serial replay. Hit counts are
 // observable through `stats` instead.
 //
@@ -216,8 +214,7 @@ class Service {
   [[nodiscard]] const ServiceStats& stats() const { return stats_; }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
   /// The optimizer snapshot taken at construction (what learn requests run
-  /// under, what model ids fingerprint, and what synth "auto" searches
-  /// with).
+  /// under and what model ids fingerprint).
   [[nodiscard]] const synth::OptRequest& opt_request() const {
     return optimizer_->request();
   }

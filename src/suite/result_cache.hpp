@@ -29,10 +29,9 @@ namespace lsml::suite {
 /// synth::VerifyStatus spelling) behind the leaderboard's verified
 /// column.
 /// v4: entries carry the optimization script (`script` field, canonical
-/// synth::Script text — the search winner under --opt-script auto) behind
-/// the leaderboard's script column; cache keys are salted by
-/// synth::OptRequest::fingerprint() instead of a bare script + options
-/// digest.
+/// synth::Script text) behind the leaderboard's script column; cache keys
+/// are salted by synth::OptRequest::fingerprint() instead of a bare
+/// script + options digest.
 inline constexpr std::uint32_t kResultCacheSchemaVersion = 4;
 
 /// A completed (team, benchmark) task, as cached. The result's

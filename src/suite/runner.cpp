@@ -168,12 +168,7 @@ RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
   const ResultCache cache(options.cache_dir);
   // Every task below (and every learner inside it) optimizes through this
   // request; installed before workers spawn, restored when the run ends.
-  // The experience table shares the result cache's directory, so scripts
-  // an auto run learns survive to the next run; the snapshot is taken here
-  // — once, before any task — so same-run stores never change results.
-  synth::OptRequest opt = options.opt;
-  opt.experience_dir = options.cache_dir;
-  const synth::ScopedOptRequest scoped_opt(opt);
+  const synth::ScopedOptRequest scoped_opt(options.opt);
 
   std::vector<std::string> keys;
   keys.reserve(entries.size());
@@ -195,8 +190,8 @@ RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
   }
 
   // The request changes every task's circuit, so its fingerprint is part
-  // of every key: results computed under one script/budget/search
-  // configuration are never served under another.
+  // of every key: results computed under one script/budget configuration
+  // are never served under another.
   const std::uint64_t pipeline_salt =
       core::hash_combine(options.config_salt, options.opt.fingerprint());
   std::vector<std::uint64_t> bench_hash(suite.size());

@@ -43,12 +43,10 @@ struct RunnerOptions {
   int verbosity = 0;
   /// Skip AIGER/leaderboard files (tests and benches that only want runs).
   bool write_artifacts = true;
-  /// Optimization request applied to every task's circuit (script-or-auto,
-  /// budgets, verify, search seed). Installed as the process default for
-  /// the duration of the run and digested into every cache key (a
-  /// different script, budget, or search configuration is a different
-  /// task). Its experience_dir is overridden with `cache_dir` at run time
-  /// so an auto run's learned scripts persist next to its results.
+  /// Optimization request applied to every task's circuit (script,
+  /// budgets, verify). Installed as the process default for the duration
+  /// of the run and digested into every cache key (a different script or
+  /// budget is a different task).
   synth::OptRequest opt;
   /// Soft wall-clock budget for the whole run; 0 = unlimited. All tasks
   /// always run to completion (determinism first); a blown budget only

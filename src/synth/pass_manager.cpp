@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -53,6 +55,8 @@ void record_pass_metrics(const std::string& name, double ms,
 /// results are simply not remembered (correctness never depends on it).
 constexpr std::size_t kMemoMaxEntries = 8192;
 
+/// Guards both the memo and the flight table, so a key is always in at
+/// most one of them and a lookup of both sees a consistent state.
 std::mutex& memo_mutex() {
   static std::mutex m;
   return m;
@@ -60,6 +64,16 @@ std::mutex& memo_mutex() {
 
 std::unordered_map<std::uint64_t, SynthResult>& memo_table() {
   static std::unordered_map<std::uint64_t, SynthResult> table;
+  return table;
+}
+
+/// Runs in progress, by memo key. A caller that misses the memo on a key
+/// in flight waits for that run's result instead of repeating it; the
+/// result reaches it through the future even when the memo is full.
+std::unordered_map<std::uint64_t, std::shared_future<SynthResult>>&
+flight_table() {
+  static std::unordered_map<std::uint64_t, std::shared_future<SynthResult>>
+      table;
   return table;
 }
 
@@ -372,6 +386,8 @@ SynthResult PassManager::run_cached(const aig::Aig& in,
   const std::uint64_t key = core::hash_combine(
       core::hash_combine(in.content_hash(), script.fingerprint()),
       options_.fingerprint());
+  std::promise<SynthResult> promise;
+  std::shared_future<SynthResult> flight;
   {
     std::lock_guard<std::mutex> lock(memo_mutex());
     const auto it = memo_table().find(key);
@@ -379,15 +395,36 @@ SynthResult PassManager::run_cached(const aig::Aig& in,
       memo_hits_counter().add(1);
       return it->second;
     }
-  }
-  SynthResult result = run(in, script);
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex());
-    if (memo_table().size() < kMemoMaxEntries) {
-      memo_table().emplace(key, result);
+    const auto [slot, leader] = flight_table().try_emplace(key);
+    if (leader) {
+      slot->second = promise.get_future().share();
+    } else {
+      memo_hits_counter().add(1);
+      flight = slot->second;
     }
   }
-  return result;
+  if (flight.valid()) {
+    return flight.get();  // rethrows whatever failed the leader's run
+  }
+  try {
+    SynthResult result = run(in, script);
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex());
+      if (memo_table().size() < kMemoMaxEntries) {
+        memo_table().emplace(key, result);
+      }
+      flight_table().erase(key);
+    }
+    promise.set_value(result);
+    return result;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(memo_mutex());
+      flight_table().erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 std::uint64_t PassManager::runs_executed() { return runs_counter().load(); }

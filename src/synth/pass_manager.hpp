@@ -18,7 +18,8 @@
 // run_cached() additionally memoizes whole runs in a process-wide table
 // keyed by (input structure, script, options): structurally identical
 // circuits — common across teams sharing learners — are optimized once
-// per process, and every thread gets bit-identical results.
+// per process, even when threads ask for one concurrently, and every
+// thread gets bit-identical results.
 
 #include <cstdint>
 #include <string>
@@ -145,7 +146,9 @@ class PassManager {
 
   /// run() through the process-wide memo table. Only deterministic runs
   /// are memoized (no caller rng by construction; time-budgeted runs
-  /// bypass the table). Thread-safe.
+  /// bypass the table). Thread-safe and single-flight: callers that miss
+  /// on a key another thread is already running wait for that run and
+  /// count as memo hits, so each key runs once per process.
   [[nodiscard]] SynthResult run_cached(const aig::Aig& in,
                                        const Script& script) const;
 

@@ -48,6 +48,11 @@ TEST(CliExitCodesTest, UsageErrorsAreTwoEverywhere) {
   EXPECT_EQ(run_cli({"run", "dir", "--threads", "-3"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"synth"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"synth", "x.aag", "--rounds", "0"}), cli::kExitUsage);
+  // "auto" is neither a preset nor a pass; synth has no --cache/--no-cache.
+  EXPECT_EQ(run_cli({"run", "dir", "--opt-script", "auto"}), cli::kExitUsage);
+  EXPECT_EQ(run_cli({"synth", "x.aag", "--script", "auto"}), cli::kExitUsage);
+  EXPECT_EQ(run_cli({"synth", "x.aag", "--cache", "d"}), cli::kExitUsage);
+  EXPECT_EQ(run_cli({"synth", "x.aag", "--no-cache"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"serve", "--port", "99999"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"serve", "--bogus"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"query", "--port", "0"}), cli::kExitUsage);

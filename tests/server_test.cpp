@@ -950,7 +950,7 @@ TEST(ServiceTest, SynthOptimizesAndStaysEquivalent) {
   EXPECT_EQ(cec.status, sat::CecStatus::kEquivalent);
 }
 
-TEST(ServiceTest, SynthAutoSearchesAndNamesTheWinner) {
+TEST(ServiceTest, SynthRejectsAutoAndNamesNoFingerprint) {
   Service service;
   core::Rng rng(11);
   aig::ConeOptions cone;
@@ -958,30 +958,25 @@ TEST(ServiceTest, SynthAutoSearchesAndNamesTheWinner) {
   cone.num_ands = 120;
   const aig::Aig in = aig::random_cone(cone, rng);
 
+  // "auto" is neither a preset nor a pass: an error line, not a search.
   Json request = make_request("synth");
   request.set("aag", aag_text(in));
   request.set("script", "auto");
   const Json response = handle(service, request);
-  ASSERT_TRUE(response.at("ok").as_bool()) << response.dump();
-  // The chosen script is a real, parseable pass list, and its fingerprint
-  // rides along so clients can key replays on the winner's identity.
-  const synth::Script winner =
-      synth::Script::parse(response.at("script").as_string());
-  EXPECT_FALSE(winner.passes.empty());
-  EXPECT_EQ(response.at("script_fp").as_string().size(), 16u);
+  EXPECT_FALSE(response.at("ok").as_bool());
+  EXPECT_EQ(response.at("type").as_string(), "error");
+  EXPECT_NE(response.at("error").as_string().find("bad 'script'"),
+            std::string::npos)
+      << response.dump();
 
-  std::istringstream optimized_text(response.at("aag").as_string());
-  const aig::Aig optimized = aig::read_aag(optimized_text);
-  const sat::CecResult cec = sat::cec(in, optimized);
-  EXPECT_EQ(cec.status, sat::CecStatus::kEquivalent);
-
-  // Auto never loses to the fixed default: same request with resyn2.
+  // A fixed-script reply names its script and carries no script_fp.
   Json fixed = make_request("synth");
   fixed.set("aag", aag_text(in));
+  fixed.set("script", "resyn2");
   const Json baseline = handle(service, fixed);
-  ASSERT_TRUE(baseline.at("ok").as_bool());
-  EXPECT_LE(response.at("ands").as_int(), baseline.at("ands").as_int());
-  // Fixed-script responses stay byte-compatible: no script_fp field.
+  ASSERT_TRUE(baseline.at("ok").as_bool()) << baseline.dump();
+  EXPECT_EQ(baseline.at("script").as_string(),
+            synth::Script::preset("resyn2").str());
   EXPECT_FALSE(baseline.has("script_fp"));
 }
 

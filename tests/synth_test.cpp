@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "aig/aig_io.hpp"
 #include "aig/aig_random.hpp"
@@ -259,6 +262,71 @@ TEST(PassManager, MemoDeduplicatesStructurallyIdenticalCircuits) {
   // A different script is a different memo row.
   (void)manager.run_cached(a, Script::preset("resyn2"));
   EXPECT_EQ(PassManager::runs_executed(), 2u);
+}
+
+/// Eight threads behind a latch call run_cached on one key at once and
+/// return the AIGER text each got.
+std::vector<std::string> run_cached_concurrently(const PassManager& manager,
+                                                 const aig::Aig& g,
+                                                 const Script& script) {
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::string> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      std::ostringstream os;
+      aig::write_aag(manager.run_cached(g, script).circuit, os);
+      results[t] = os.str();
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  return results;
+}
+
+TEST(PassManager, ConcurrentMissesOnOneKeyRunOnce) {
+  // Concurrent misses on one key: one thread runs the script, the other
+  // seven wait for its result and count as memo hits — also when the memo
+  // is full and the result is not kept.
+  core::Rng rng(77);
+  aig::ConeOptions cone;
+  cone.num_inputs = 14;
+  cone.num_ands = 1500;
+  const aig::Aig g = aig::random_cone(cone, rng);
+  const Script script = Script::preset("resyn2fs");
+  const PassManager manager;
+
+  for (const bool full : {false, true}) {
+    PassManager::clear_memo();
+    if (full) {
+      // 8192 (the memo cap) cheap runs that differ only in their seed.
+      aig::Aig tiny(2);
+      tiny.add_output(tiny.and2(tiny.pi(0), tiny.pi(1)));
+      for (std::uint64_t seed = 0; seed < 8192; ++seed) {
+        SynthOptions options;
+        options.approx_seed = seed;
+        (void)PassManager(options).run_cached(tiny, Script::parse("c"));
+      }
+    }
+    const std::uint64_t runs0 = PassManager::runs_executed();
+    const std::uint64_t hits0 = PassManager::memo_hits();
+    const std::vector<std::string> results =
+        run_cached_concurrently(manager, g, script);
+    EXPECT_EQ(PassManager::runs_executed(), runs0 + 1) << "full " << full;
+    EXPECT_EQ(PassManager::memo_hits(), hits0 + results.size() - 1)
+        << "full " << full;
+    for (std::size_t t = 1; t < results.size(); ++t) {
+      EXPECT_EQ(results[t], results[0]) << "thread " << t << " full " << full;
+    }
+    // A full memo kept nothing, so the next caller runs again.
+    (void)manager.run_cached(g, script);
+    EXPECT_EQ(PassManager::runs_executed(), runs0 + (full ? 2 : 1))
+        << "full " << full;
+  }
+  PassManager::clear_memo();
 }
 
 TEST(PassManager, EachContestTaskOptimizesExactlyOnce) {
