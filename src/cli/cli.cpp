@@ -119,7 +119,6 @@ constexpr const char* kUsage =
     "      --max-request-bytes N  per-request line cap    [8388608]\n"
     "      --max-connections N  concurrent-connection cap (0 = off) [0]\n"
     "      --models N           in-memory LRU model slots [64]\n"
-    "      --shards N           model-store shard count   [8]\n"
     "      --model-store-bytes N  in-memory store byte budget (0 = off)\n"
     "      --cache DIR          on-disk model store       [.lsml-serve-cache]\n"
     "      --no-cache           disable the on-disk model store\n"
@@ -804,12 +803,6 @@ int cmd_serve(const std::vector<std::string>& args) {
         return usage_error("--models must be a non-negative integer");
       }
       options.service.model_capacity = u;
-    } else if (args[i] == "--shards") {
-      if (!flag_value(args, &i, &value) || !parse_u64(value, &u) || u == 0 ||
-          u > 4096) {
-        return usage_error("--shards must be in [1, 4096]");
-      }
-      options.service.store_shards = static_cast<std::size_t>(u);
     } else if (args[i] == "--model-store-bytes") {
       if (!flag_value(args, &i, &value) || !parse_u64(value, &u)) {
         return usage_error(

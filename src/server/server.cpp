@@ -20,6 +20,10 @@ namespace lsml::server {
 
 namespace {
 
+/// How long stop() waits for in-flight requests to finish and responses to
+/// flush before force-closing connections.
+constexpr std::int64_t kDrainMs = 5000;
+
 [[noreturn]] void fail_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -139,7 +143,7 @@ void Server::stop() {
   loops_.front()->events.post([this] { begin_drain(); });
   {
     std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait_for(lock, std::chrono::milliseconds(options_.drain_ms),
+    drain_cv_.wait_for(lock, std::chrono::milliseconds(kDrainMs),
                        [this] { return loops_drained_ == loops_.size(); });
   }
   // Phase 2 — whatever outlived the drain window (stalled reader, runaway

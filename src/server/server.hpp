@@ -24,7 +24,7 @@
 //                 wait, so requests on one connection stay FIFO, and
 //                 heavy work is capped at the pool width.
 //   service       server::Service — the transport-agnostic request
-//                 handler with its sharded model store (see service.hpp).
+//                 handler with its LRU model store (see service.hpp).
 //
 // A loop runs a connection's queued lines iteratively, in order, and
 // yields after kTurnBytes of request text so other connections on the
@@ -45,7 +45,7 @@
 // its own connection (a half-closed peer still receives every response it
 // was owed). `max_connections` is one count across all loops. stop()
 // drains every loop: it stops accepting, lets queued and in-flight
-// requests finish and their responses flush for up to `drain_ms`, then
+// requests finish and their responses flush for up to five seconds, then
 // force-closes whatever is left.
 //
 // Binding port 0 picks an ephemeral port, readable via port() — how tests
@@ -88,9 +88,6 @@ struct ServerOptions {
   /// Setting it bounds kernel-side memory per connection and makes the
   /// write high-water mark bite at a predictable depth.
   int send_buffer_bytes = 0;
-  /// How long stop() waits for in-flight requests to finish and responses
-  /// to flush before force-closing connections.
-  std::int64_t drain_ms = 5000;
   ServiceOptions service;
   int verbosity = 0;  ///< 1 = connection lifecycle lines on stderr
 };
@@ -121,7 +118,7 @@ class Server {
   /// bound.
   void start();
 
-  /// Stops accepting, drains in-flight requests (up to drain_ms), closes
+  /// Stops accepting, drains in-flight requests (up to five seconds), closes
   /// every connection, joins the loops and the pool. Idempotent; called by
   /// the destructor.
   void stop();

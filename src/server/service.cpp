@@ -144,6 +144,37 @@ Json response_base(const Json& request, const char* type, bool ok) {
 /// a deadline always wins over a pathological miter.
 constexpr std::int64_t kCecConflictsPerMs = 2000;
 
+/// Contest seed used when a learn request does not send one.
+constexpr std::int64_t kDefaultSeed = 2020;
+/// SAT conflict budget of a cec request that does not send one
+/// (0 = unlimited).
+constexpr std::int64_t kCecConflictBudget = 100000;
+/// Cap on ping's optional server-side sleep.
+constexpr std::int64_t kMaxPingSleepMs = 60000;
+
+/// The ServiceStats counters in `stats` reply order. Each is also the
+/// registry counter lsml_server_<key>_total.
+struct StatCounter {
+  const char* key;
+  obs::Counter ServiceStats::*member;
+};
+constexpr StatCounter kStatCounters[] = {
+    {"requests", &ServiceStats::requests},
+    {"errors", &ServiceStats::errors},
+    {"learns", &ServiceStats::learns},
+    {"model_memory_hits", &ServiceStats::model_memory_hits},
+    {"model_disk_hits", &ServiceStats::model_disk_hits},
+    {"model_inflight_joins", &ServiceStats::model_inflight_joins},
+    {"model_evictions", &ServiceStats::model_evictions},
+    {"evals", &ServiceStats::evals},
+    {"eval_sweeps", &ServiceStats::eval_sweeps},
+    {"eval_rows", &ServiceStats::eval_rows},
+    {"synths", &ServiceStats::synths},
+    {"cecs", &ServiceStats::cecs},
+    {"pings", &ServiceStats::pings},
+    {"deadline_expired", &ServiceStats::deadline_expired},
+};
+
 }  // namespace
 
 std::int64_t Deadline::elapsed_ms() const {
@@ -180,39 +211,15 @@ Service::Service(ServiceOptions options)
     : options_(std::move(options)),
       optimizer_(synth::default_optimizer()),
       disk_cache_(options_.cache_dir) {
-  std::size_t shards = options_.store_shards == 0 ? 1 : options_.store_shards;
-  std::size_t pow2 = 1;
-  while (pow2 < shards) {
-    pow2 <<= 1;
-  }
-  shards_.reserve(pow2);
-  for (std::size_t i = 0; i < pow2; ++i) {
-    shards_.push_back(std::make_unique<StoreShard>());
-  }
-  shard_mask_ = pow2 - 1;
   register_metrics();
 }
 
 void Service::register_metrics() {
   obs::Registry& reg = obs::Registry::instance();
-  const auto alias = [&](const char* name, const obs::Counter& c) {
-    metric_regs_.push_back(reg.register_counter(name, &c));
-  };
-  alias("lsml_server_requests_total", stats_.requests);
-  alias("lsml_server_errors_total", stats_.errors);
-  alias("lsml_server_learns_total", stats_.learns);
-  alias("lsml_server_model_memory_hits_total", stats_.model_memory_hits);
-  alias("lsml_server_model_disk_hits_total", stats_.model_disk_hits);
-  alias("lsml_server_model_inflight_joins_total",
-        stats_.model_inflight_joins);
-  alias("lsml_server_model_evictions_total", stats_.model_evictions);
-  alias("lsml_server_evals_total", stats_.evals);
-  alias("lsml_server_eval_sweeps_total", stats_.eval_sweeps);
-  alias("lsml_server_eval_rows_total", stats_.eval_rows);
-  alias("lsml_server_synths_total", stats_.synths);
-  alias("lsml_server_cecs_total", stats_.cecs);
-  alias("lsml_server_pings_total", stats_.pings);
-  alias("lsml_server_deadline_expired_total", stats_.deadline_expired);
+  for (const StatCounter& c : kStatCounters) {
+    metric_regs_.push_back(reg.register_counter(
+        std::string("lsml_server_") + c.key + "_total", &(stats_.*c.member)));
+  }
   metric_regs_.push_back(
       reg.register_histogram("lsml_server_queue_wait_ns", &queue_wait_ns_));
   for (std::size_t op = 0; op < kNumOps; ++op) {
@@ -398,8 +405,7 @@ Json Service::handle_learn(const Json& request, const Deadline& deadline) {
     }
   }
   const auto seed = static_cast<std::uint64_t>(optional_int(
-      request, "seed", static_cast<std::int64_t>(options_.default_seed), 0,
-      INT64_MAX));
+      request, "seed", kDefaultSeed, 0, INT64_MAX));
 
   // Model identity: the same content-hash recipe the contest's result
   // cache uses (datasets + seed + schema version), extended by who learns
@@ -413,76 +419,71 @@ Json Service::handle_learn(const Json& request, const Deadline& deadline) {
   hash = core::hash_combine(hash, optimizer_->request().fingerprint());
   const std::string id = model_id_from_hash(hash);
 
-  std::shared_ptr<const StoredModel> model = store_get(id);
-  if (model == nullptr) {
-    // Single-flight: concurrent identical learns elect one leader; the
-    // rest wait on its future instead of refitting N times on a cold
-    // server (the store alone cannot close that window).
-    std::promise<std::shared_ptr<const StoredModel>> promise;
-    std::shared_future<std::shared_ptr<const StoredModel>> shared;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
+  // Single-flight: under the store lock, a learn either finds the model,
+  // joins the learn of it already in flight, or leads that learn. A leader
+  // publishes to the store before it leaves the flight table, so no later
+  // learn can miss both.
+  ModelPtr model;
+  std::promise<ModelPtr> promise;
+  std::shared_future<ModelPtr> flight;
+  bool leader = false;
+  {
+    std::lock_guard<std::mutex> lock(store_mutex_);
+    model = store_find_locked(id);
+    if (model == nullptr) {
       const auto it = inflight_.find(id);
       if (it != inflight_.end()) {
-        shared = it->second;
+        flight = it->second;
       } else {
-        shared = promise.get_future().share();
-        inflight_.emplace(id, shared);
+        flight = promise.get_future().share();
+        inflight_.emplace(id, flight);
         leader = true;
       }
     }
-    if (!leader) {
-      stats_.model_inflight_joins.fetch_add(1, std::memory_order_relaxed);
-      model = shared.get();  // rethrows whatever failed the leader
-    } else {
-      std::exception_ptr failure;
-      try {
-        // Re-check both cache levels now that this thread owns the
-        // flight: a leader that just finished published to the store
-        // *before* leaving the table, so this lookup cannot miss its
-        // result.
-        model = store_get(id);
-        if (model == nullptr) {
-          model = disk_get(id, hash);
+  }
+  if (leader) {
+    std::exception_ptr failure;
+    try {
+      model = disk_get(id, hash);
+      if (model == nullptr) {
+        // Cache hits are cheap enough to honor even past the deadline; an
+        // actual refit is the phase a deadline exists to gate.
+        if (deadline.expired()) {
+          throw DeadlineExpired("learn started");
         }
-        if (model == nullptr) {
-          // Cache hits are cheap enough to honor even past the deadline;
-          // an actual refit is the phase a deadline exists to gate.
-          if (deadline.expired()) {
-            throw DeadlineExpired("learn started");
-          }
-          stats_.learns.fetch_add(1, std::memory_order_relaxed);
-          core::Rng rng(hash);  // depends only on the request content hash
-          const std::unique_ptr<learn::Learner> learner = factory.make();
-          learn::TrainedModel trained = learner->fit(train, valid, rng);
-          auto stored = std::make_shared<StoredModel>();
-          stored->circuit = std::move(trained.circuit);
-          stored->learner = learner_name;
-          stored->method = std::move(trained.method);
-          stored->train_acc = trained.train_acc;
-          stored->valid_acc = trained.valid_acc;
-          stored->verified = trained.verified;
-          disk_put(id, hash, *stored, trained.synth_trace);
-          store_put(id, stored);
-          model = std::move(stored);
-        }
-      } catch (...) {
-        failure = std::current_exception();
+        stats_.learns.fetch_add(1, std::memory_order_relaxed);
+        core::Rng rng(hash);  // depends only on the request content hash
+        const std::unique_ptr<learn::Learner> learner = factory.make();
+        learn::TrainedModel trained = learner->fit(train, valid, rng);
+        auto stored = std::make_shared<StoredModel>();
+        stored->circuit = std::move(trained.circuit);
+        stored->learner = learner_name;
+        stored->method = std::move(trained.method);
+        stored->train_acc = trained.train_acc;
+        stored->valid_acc = trained.valid_acc;
+        stored->verified = trained.verified;
+        disk_put(id, hash, *stored, trained.synth_trace);
+        store_put(id, stored);
+        model = std::move(stored);
       }
-      if (failure == nullptr) {
-        promise.set_value(model);
-      } else {
-        promise.set_exception(failure);
-      }
-      {
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(id);
-      }
-      if (failure != nullptr) {
-        std::rethrow_exception(failure);
-      }
+    } catch (...) {
+      failure = std::current_exception();
     }
+    if (failure == nullptr) {
+      promise.set_value(model);
+    } else {
+      promise.set_exception(failure);
+    }
+    {
+      std::lock_guard<std::mutex> lock(store_mutex_);
+      inflight_.erase(id);
+    }
+    if (failure != nullptr) {
+      std::rethrow_exception(failure);
+    }
+  } else if (model == nullptr) {
+    stats_.model_inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    model = flight.get();  // rethrows whatever failed the leader
   }
 
   Json r = response_base(request, "learn", true);
@@ -600,7 +601,7 @@ Json Service::handle_eval(const Request& parsed) {
     throw RequestError("'" + id +
                        "' is not a model id (expected m-<16 hex digits>)");
   }
-  std::shared_ptr<const StoredModel> model = parsed.model_;
+  ModelPtr model = parsed.model_;
   if (model == nullptr) {
     model = store_get(id);
   }
@@ -786,9 +787,8 @@ Json Service::handle_cec(const Json& request, const Deadline& deadline) {
   const aig::Aig a = parse_aag_payload(required_string(request, "a"), "a");
   const aig::Aig b = parse_aag_payload(required_string(request, "b"), "b");
   sat::CecLimits limits;
-  limits.conflict_budget = optional_int(request, "conflicts",
-                                        options_.cec_conflict_budget, 0,
-                                        INT64_MAX);
+  limits.conflict_budget =
+      optional_int(request, "conflicts", kCecConflictBudget, 0, INT64_MAX);
   stats_.cecs.fetch_add(1, std::memory_order_relaxed);
 
   Json r = response_base(request, "cec", true);
@@ -843,8 +843,8 @@ Json Service::handle_ping(const Json& request, const Deadline& deadline) {
   if (deadline.expired()) {
     throw DeadlineExpired("ping ran");
   }
-  const std::int64_t sleep_ms = optional_int(request, "sleep_ms", 0, 0,
-                                             options_.max_ping_sleep_ms);
+  const std::int64_t sleep_ms =
+      optional_int(request, "sleep_ms", 0, 0, kMaxPingSleepMs);
   if (sleep_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
   }
@@ -854,27 +854,12 @@ Json Service::handle_ping(const Json& request, const Deadline& deadline) {
 
 Json Service::handle_stats() {
   Json r = response_base(Json(), "stats", true);
-  const auto get = [](const obs::Counter& c) {
-    return static_cast<std::int64_t>(c.load());
-  };
-  r.set("requests", get(stats_.requests));
-  r.set("errors", get(stats_.errors));
-  r.set("learns", get(stats_.learns));
-  r.set("model_memory_hits", get(stats_.model_memory_hits));
-  r.set("model_disk_hits", get(stats_.model_disk_hits));
-  r.set("model_inflight_joins", get(stats_.model_inflight_joins));
-  r.set("model_evictions", get(stats_.model_evictions));
-  r.set("evals", get(stats_.evals));
-  r.set("eval_sweeps", get(stats_.eval_sweeps));
-  r.set("eval_rows", get(stats_.eval_rows));
-  r.set("synths", get(stats_.synths));
-  r.set("cecs", get(stats_.cecs));
-  r.set("pings", get(stats_.pings));
-  r.set("deadline_expired", get(stats_.deadline_expired));
+  for (const StatCounter& c : kStatCounters) {
+    r.set(c.key, static_cast<std::int64_t>((stats_.*c.member).load()));
+  }
   r.set("models_cached", static_cast<std::int64_t>(models_cached()));
   r.set("models_cached_bytes",
         static_cast<std::int64_t>(models_cached_bytes()));
-  r.set("store_shards", static_cast<std::int64_t>(shards_.size()));
   r.set("synth_memo_hits",
         static_cast<std::int64_t>(synth::PassManager::memo_hits()));
   r.set("pipeline", optimizer_->request().script_display());
@@ -905,113 +890,61 @@ std::size_t model_bytes(const StoredModel& m) {
 
 }  // namespace
 
-Service::StoreShard& Service::shard_for(const std::string& id) {
-  return *shards_[core::fnv1a(id.data(), id.size()) & shard_mask_];
-}
-
-std::shared_ptr<const StoredModel> Service::store_get(const std::string& id) {
-  StoreShard& shard = shard_for(id);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.map.find(id);
-  if (it == shard.map.end()) {
+Service::ModelPtr Service::store_find_locked(const std::string& id) {
+  const auto it = store_.find(id);
+  if (it == store_.end()) {
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  it->second.stamp =
-      store_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   stats_.model_memory_hits.fetch_add(1, std::memory_order_relaxed);
   return it->second.model;
 }
 
-void Service::store_put(const std::string& id,
-                        std::shared_ptr<const StoredModel> m) {
+Service::ModelPtr Service::store_get(const std::string& id) {
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  return store_find_locked(id);
+}
+
+void Service::store_put(const std::string& id, ModelPtr m) {
   if (options_.model_capacity == 0) {
     return;
   }
   const std::size_t bytes = model_bytes(*m);
-  StoreShard& shard = shard_for(id);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(id);
-    const std::uint64_t stamp =
-        store_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      store_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-      store_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      it->second.model = std::move(m);
-      it->second.bytes = bytes;
-      it->second.stamp = stamp;
-    } else {
-      shard.lru.push_front(id);
-      StoreShard::Entry entry;
-      entry.lru_it = shard.lru.begin();
-      entry.model = std::move(m);
-      entry.bytes = bytes;
-      entry.stamp = stamp;
-      shard.map.emplace(id, std::move(entry));
-      store_entries_.fetch_add(1, std::memory_order_relaxed);
-      store_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  const auto it = store_.find(id);
+  if (it != store_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    store_bytes_ += bytes - it->second.bytes;
+    it->second.model = std::move(m);
+    it->second.bytes = bytes;
+  } else {
+    lru_.push_front(id);
+    store_.emplace(id, StoreEntry{lru_.begin(), std::move(m), bytes});
+    store_bytes_ += bytes;
   }
-  store_evict_to_budget();
-}
-
-void Service::store_evict_to_budget() {
-  while (true) {
-    const bool over_entries =
-        store_entries_.load(std::memory_order_relaxed) >
-        options_.model_capacity;
-    const bool over_bytes =
-        options_.model_store_bytes > 0 &&
-        store_bytes_.load(std::memory_order_relaxed) >
-            options_.model_store_bytes;
-    if (!over_entries && !over_bytes) {
-      return;
-    }
-    // Global LRU across shards: every shard's tail is its least-recent
-    // entry, so the globally oldest stamp among tails is the LRU victim.
-    // Shards are inspected one lock at a time; concurrent bumps make this
-    // approximate, never unsafe.
-    StoreShard* victim = nullptr;
-    std::uint64_t oldest = UINT64_MAX;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      if (shard->lru.empty()) {
-        continue;
-      }
-      const std::uint64_t stamp = shard->map.at(shard->lru.back()).stamp;
-      if (stamp < oldest) {
-        oldest = stamp;
-        victim = shard.get();
-      }
-    }
-    if (victim == nullptr) {
-      return;  // nothing left to evict
-    }
-    std::lock_guard<std::mutex> lock(victim->mutex);
-    if (victim->lru.empty()) {
-      continue;
-    }
-    const auto it = victim->map.find(victim->lru.back());
-    store_entries_.fetch_sub(1, std::memory_order_relaxed);
-    store_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    victim->map.erase(it);
-    victim->lru.pop_back();
+  while (!lru_.empty() &&
+         (store_.size() > options_.model_capacity ||
+          (options_.model_store_bytes > 0 &&
+           store_bytes_ > options_.model_store_bytes))) {
+    const auto victim = store_.find(lru_.back());
+    store_bytes_ -= victim->second.bytes;
+    store_.erase(victim);
+    lru_.pop_back();
     stats_.model_evictions.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 std::size_t Service::models_cached() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->map.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  return store_.size();
 }
 
-std::shared_ptr<const StoredModel> Service::disk_get(
+std::size_t Service::models_cached_bytes() const {
+  std::lock_guard<std::mutex> lock(store_mutex_);
+  return store_bytes_;
+}
+
+Service::ModelPtr Service::disk_get(
     const std::string& id, std::uint64_t content_hash) {
   if (!disk_cache_.enabled()) {
     return nullptr;

@@ -29,16 +29,17 @@
 // calls them itself and hands the parsed Request across threads, so no
 // line is parsed twice.
 //
-// Model store: learned circuits live in a sharded LRU keyed by a content
-// hash over (datasets, learner, seed, request fingerprint) — the same
+// Model store: learned circuits live in an LRU keyed by a content hash
+// over (datasets, learner, seed, request fingerprint) — the same
 // Dataset::content_hash / task_content_hash machinery that keys the
-// contest's on-disk suite::ResultCache. Shards are selected by model-id
-// hash, each with its own mutex + recency list, so concurrent learns and
-// evals on different models never contend on one lock; eviction follows a
-// global LRU order (a logical access clock) under a global entry capacity
-// and optional byte budget. The ResultCache doubles as the store's second
-// level when `cache_dir` is set: a restarted server serves `learn` and
-// `eval` requests for already-learned models without refitting.
+// contest's on-disk suite::ResultCache. One mutex guards the map, the
+// recency list, the byte count and the table of learns in flight, so a
+// learn checks the store and joins or leads a flight in one step, and
+// eviction is exact LRU under an entry capacity and an optional byte
+// budget. Fits, disk I/O and waits on a flight run outside that lock. The
+// ResultCache doubles as the store's second level when `cache_dir` is
+// set: a restarted server serves `learn` and `eval` requests for
+// already-learned models without refitting.
 //
 // Determinism contract: every response except `stats` is a pure function
 // of the request (given a fixed installed OptRequest), with no wall times
@@ -47,8 +48,8 @@
 // observable through `stats` instead.
 //
 // Thread safety: parse, prepare_inline, execute and handle_line are safe
-// to call from any number of threads (the store shards and the counters
-// are internally synchronized; the synth memo and learner stack are
+// to call from any number of threads (the store and the counters are
+// internally synchronized; the synth memo and learner stack are
 // already thread-safe).
 // Install the process synth::OptRequest (synth::set_default_opt_request)
 // BEFORE constructing a Service: the constructor snapshots the installed
@@ -56,7 +57,6 @@
 // read it concurrently afterwards.
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -80,22 +80,14 @@
 namespace lsml::server {
 
 struct ServiceOptions {
-  /// Global entry capacity of the in-memory model store (0 disables it).
+  /// Entry capacity of the in-memory model store (0 disables it).
   std::size_t model_capacity = 64;
-  /// Global byte budget of the in-memory model store (0 = entries only).
+  /// Byte budget of the in-memory model store (0 = entries only).
   std::size_t model_store_bytes = 0;
-  /// Store shard count (rounded up to a power of two).
-  std::size_t store_shards = 8;
   /// On-disk second level (a suite::ResultCache); empty disables it.
   std::string cache_dir;
-  /// Contest seed used when a learn request does not send one.
-  std::uint64_t default_seed = 2020;
-  /// Default SAT conflict budget of a cec request (0 = unlimited).
-  std::int64_t cec_conflict_budget = 100000;
   /// Row cap of one eval request, summed over its batches.
   std::size_t max_eval_rows = 1u << 20;
-  /// Cap on ping's optional server-side sleep.
-  std::int64_t max_ping_sleep_ms = 60000;
 };
 
 /// Per-request deadline: a budget in milliseconds counted from the moment
@@ -219,26 +211,17 @@ class Service {
     return optimizer_->request();
   }
 
-  /// In-memory model count across all shards (tests assert LRU eviction
-  /// through this).
+  /// In-memory model count (tests assert LRU eviction through this).
   [[nodiscard]] std::size_t models_cached() const;
   /// Approximate resident bytes of the in-memory store.
-  [[nodiscard]] std::size_t models_cached_bytes() const {
-    return store_bytes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t models_cached_bytes() const;
 
  private:
-  /// One independently locked slice of the model store.
-  struct StoreShard {
-    struct Entry {
-      std::list<std::string>::iterator lru_it;
-      std::shared_ptr<const StoredModel> model;
-      std::size_t bytes = 0;
-      std::uint64_t stamp = 0;  ///< global logical access clock
-    };
-    mutable std::mutex mutex;
-    std::list<std::string> lru;  ///< front = most recent within the shard
-    std::unordered_map<std::string, Entry> map;
+  using ModelPtr = std::shared_ptr<const StoredModel>;
+  struct StoreEntry {
+    std::list<std::string>::iterator lru_it;
+    ModelPtr model;
+    std::size_t bytes = 0;
   };
 
   Json dispatch(const Request& request);
@@ -253,15 +236,15 @@ class Service {
   /// obs::Registry (constructor helper).
   void register_metrics();
 
-  [[nodiscard]] StoreShard& shard_for(const std::string& id);
-  /// LRU lookup (bumps recency); nullptr on miss.
-  std::shared_ptr<const StoredModel> store_get(const std::string& id);
-  void store_put(const std::string& id, std::shared_ptr<const StoredModel> m);
-  /// Evicts globally-least-recent entries until capacity/byte budget hold.
-  void store_evict_to_budget();
+  /// LRU lookup (bumps recency, counts a memory hit); nullptr on miss.
+  /// The _locked form runs under a store_mutex_ the caller holds.
+  ModelPtr store_find_locked(const std::string& id);
+  ModelPtr store_get(const std::string& id);
+  /// Inserts or replaces `id`, then evicts least-recent entries until the
+  /// entry capacity and the byte budget both hold.
+  void store_put(const std::string& id, ModelPtr m);
   /// Second-level lookup in the on-disk ResultCache; fills the LRU on hit.
-  std::shared_ptr<const StoredModel> disk_get(const std::string& id,
-                                              std::uint64_t content_hash);
+  ModelPtr disk_get(const std::string& id, std::uint64_t content_hash);
   void disk_put(const std::string& id, std::uint64_t content_hash,
                 const StoredModel& model,
                 const std::vector<synth::PassStats>& trace);
@@ -271,19 +254,17 @@ class Service {
   suite::ResultCache disk_cache_;
   ServiceStats stats_;
 
+  /// Guards the model store (store_, lru_, store_bytes_) and inflight_.
+  /// Never held across a fit, disk I/O, a wait on a flight or a registry
+  /// call.
+  mutable std::mutex store_mutex_;
+  std::unordered_map<std::string, StoreEntry> store_;
+  std::list<std::string> lru_;  ///< front = most recent
+  std::size_t store_bytes_ = 0;
   /// Single-flight table: model ids whose first learn is still running.
   /// Concurrent identical learns wait on the leader's future instead of
   /// refitting (the store alone cannot prevent N cold-start duplicates).
-  std::mutex inflight_mutex_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const StoredModel>>>
-      inflight_;
-
-  std::vector<std::unique_ptr<StoreShard>> shards_;
-  std::size_t shard_mask_ = 0;
-  std::atomic<std::uint64_t> store_clock_{0};
-  std::atomic<std::size_t> store_entries_{0};
-  std::atomic<std::size_t> store_bytes_{0};
+  std::unordered_map<std::string, std::shared_future<ModelPtr>> inflight_;
 
   /// Telemetry side-channel: queue-wait and per-op latency histograms, in
   /// nanoseconds.

@@ -55,6 +55,8 @@ TEST(CliExitCodesTest, UsageErrorsAreTwoEverywhere) {
   EXPECT_EQ(run_cli({"synth", "x.aag", "--no-cache"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"serve", "--port", "99999"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"serve", "--bogus"}), cli::kExitUsage);
+  // The model store is one LRU; there is no shard count to set.
+  EXPECT_EQ(run_cli({"serve", "--shards", "4"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"query", "--port", "0"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"query", "frobnicate"}), cli::kExitUsage);
   EXPECT_EQ(run_cli({"query", "eval"}), cli::kExitUsage);

@@ -1067,33 +1067,80 @@ TEST(ServiceTest, LruEvictsOldestModel) {
   EXPECT_TRUE(handle(service, request).at("ok").as_bool());
 }
 
-TEST(ServiceTest, ShardedStoreKeepsGlobalLruOrder) {
-  // Entries land in different shards by id hash, but eviction must still
-  // follow the GLOBAL access order — exactly what a single-map LRU did.
+TEST(ServiceTest, EvalBumpsRecency) {
+  // An eval is an access: the model it read becomes the most recent, so
+  // the next eviction takes the least recently used model, not the oldest
+  // learned one.
   ServiceOptions options;
-  options.model_capacity = 4;
-  options.store_shards = 4;
+  options.model_capacity = 3;
   Service service(options);
   std::vector<std::string> ids;
-  for (std::uint32_t k = 0; k < 6; ++k) {
+  const auto learn = [&](std::uint32_t k) {
     const Json learned = handle(
         service, learn_request(pla_for(
                      3, [k](std::uint32_t r) { return (r % 7) == k; })));
     ASSERT_TRUE(learned.at("ok").as_bool());
     ids.push_back(learned.at("model").as_string());
-  }
-  EXPECT_EQ(service.models_cached(), 4u);
-  EXPECT_EQ(service.stats().model_evictions.load(), 2u);
+  };
   Json request = make_request("eval");
   Json inputs = Json::array();
   inputs.push_back(Json("000"));
   request.set("inputs", std::move(inputs));
-  // The two oldest are gone, the four recent ones serve.
-  for (std::size_t k = 0; k < ids.size(); ++k) {
+  const auto serves = [&](std::size_t k) {
     request.set("model", ids[k]);
-    EXPECT_EQ(handle(service, request).at("ok").as_bool(), k >= 2) << k;
+    return handle(service, request).at("ok").as_bool();
+  };
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    learn(k);
   }
+  ASSERT_TRUE(serves(0));  // the oldest learn is now the most recent use
+  learn(3);
+  EXPECT_EQ(service.models_cached(), 3u);
+  EXPECT_EQ(service.stats().model_evictions.load(), 1u);
+  EXPECT_TRUE(serves(0));
+  EXPECT_FALSE(serves(1));  // the least recently used model went
+  EXPECT_TRUE(serves(2));
+  EXPECT_TRUE(serves(3));
   EXPECT_GT(service.models_cached_bytes(), 0u);
+}
+
+TEST(ServiceTest, ConcurrentDistinctLearnsKeepExactCounts) {
+  // Threads learning distinct models into a small store: every learn
+  // refits once, the store ends exactly at capacity, and every model
+  // that left it is counted as one eviction.
+  ServiceOptions options;
+  options.model_capacity = 3;
+  Service service(options);
+  constexpr std::uint32_t kThreads = 8;
+  constexpr std::uint32_t kLearnsPerThread = 40;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  std::vector<int> failures(kThreads, 0);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < kLearnsPerThread; ++i) {
+        // Multiplying by an odd constant is a bijection mod 2^16, so every
+        // (t, i) gets its own 4-input truth table and its own model id.
+        const std::uint32_t table =
+            ((t * kLearnsPerThread + i) * 0x9e37u + 1u) & 0xffffu;
+        const Json learned = handle(
+            service, learn_request(pla_for(4, [table](std::uint32_t r) {
+              return ((table >> r) & 1u) != 0;
+            })));
+        failures[t] += learned.at("ok").as_bool() ? 0 : 1;
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << t;
+  }
+  const std::uint64_t learns = service.stats().learns.load();
+  EXPECT_EQ(learns, kThreads * kLearnsPerThread);
+  EXPECT_EQ(service.models_cached(), 3u);
+  EXPECT_EQ(service.stats().model_evictions.load(), learns - 3);
 }
 
 TEST(ServiceTest, StoreByteBudgetEvicts) {
@@ -2017,7 +2064,7 @@ TEST(ServerTest, CapAndDrainHoldAcrossLoops) {
 
 // The acceptance-criteria test: 256 concurrent clients replaying a fixed
 // request set get byte-identical responses to a serial replay — across the
-// event loops, the pool, and the sharded store. Runs under TSan
+// event loops, the pool, and the model store. Runs under TSan
 // in CI, so it is also the concurrency torture test.
 TEST(ServerTest, ConcurrentClientsAreBitIdenticalToSerial) {
   // A request mix that exercises every stateful path: learns (shared model
