@@ -1,8 +1,7 @@
 #include "learn/factory.hpp"
 
-#include <map>
-#include <mutex>
 #include <stdexcept>
+#include <string_view>
 
 #include "learn/dt.hpp"
 #include "learn/espresso_learner.hpp"
@@ -12,35 +11,38 @@ namespace lsml::learn {
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, LearnerFactory::Fn> factories;
+using MakeFn = std::unique_ptr<Learner> (*)();
+
+struct Builtin {
+  std::string_view name;
+  MakeFn make;
 };
 
-Registry& registry() {
-  static Registry instance;
-  static std::once_flag builtins_once;
-  std::call_once(builtins_once, [] {
-    auto& f = instance.factories;
-    f["dt"] = [] { return std::make_unique<DtLearner>(DtOptions{}, "dt"); };
-    f["dt8"] = [] {
-      DtOptions options;
-      options.max_depth = 8;
-      return std::make_unique<DtLearner>(options, "dt8");
-    };
-    f["rf"] = [] {
-      ForestOptions options;
-      options.num_trees = 9;
-      options.tree.max_depth = 10;
-      return std::make_unique<ForestLearner>(options, "rf");
-    };
-    f["espresso"] = [] {
-      return std::make_unique<EspressoLearner>(sop::EspressoOptions{},
-                                               "espresso");
-    };
-  });
-  return instance;
-}
+/// The registry, sorted by name.
+constexpr Builtin kBuiltins[] = {
+    {"dt",
+     []() -> std::unique_ptr<Learner> {
+       return std::make_unique<DtLearner>(DtOptions{}, "dt");
+     }},
+    {"dt8",
+     []() -> std::unique_ptr<Learner> {
+       DtOptions options;
+       options.max_depth = 8;
+       return std::make_unique<DtLearner>(options, "dt8");
+     }},
+    {"espresso",
+     []() -> std::unique_ptr<Learner> {
+       return std::make_unique<EspressoLearner>(sop::EspressoOptions{},
+                                                "espresso");
+     }},
+    {"rf",
+     []() -> std::unique_ptr<Learner> {
+       ForestOptions options;
+       options.num_trees = 9;
+       options.tree.max_depth = 10;
+       return std::make_unique<ForestLearner>(options, "rf");
+     }},
+};
 
 }  // namespace
 
@@ -51,39 +53,27 @@ std::unique_ptr<Learner> LearnerFactory::make() const {
   return fn_();
 }
 
-void LearnerFactory::register_factory(const std::string& key, Fn fn) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[key] = std::move(fn);
-}
-
 LearnerFactory LearnerFactory::from_registry(const std::string& key) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.factories.find(key);
-  if (it == r.factories.end()) {
+  LearnerFactory factory = try_from_registry(key);
+  if (!factory) {
     throw std::out_of_range("LearnerFactory: no factory named '" + key + "'");
   }
-  return LearnerFactory(key, it->second);
+  return factory;
 }
 
 LearnerFactory LearnerFactory::try_from_registry(const std::string& key) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const auto it = r.factories.find(key);
-  if (it == r.factories.end()) {
-    return {};
+  for (const Builtin& builtin : kBuiltins) {
+    if (builtin.name == key) {
+      return LearnerFactory(key, builtin.make);
+    }
   }
-  return LearnerFactory(key, it->second);
+  return {};
 }
 
 std::vector<std::string> LearnerFactory::registered() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, fn] : r.factories) {
-    names.push_back(name);
+  for (const Builtin& builtin : kBuiltins) {
+    names.emplace_back(builtin.name);
   }
   return names;
 }

@@ -7,10 +7,10 @@
 // invoke, and every make() returns an independent instance that one worker
 // owns for one (team, benchmark) task.
 //
-// A process-wide registry maps names to factories so drivers, benches and
-// tests can request baseline learners ("dt", "dt8", "rf", "espresso", ...)
-// without linking against each learner's options struct. Portfolio teams
-// register themselves via portfolio::team_factory (see portfolio/team.hpp).
+// A fixed registry maps names to the baseline learners ("dt", "dt8",
+// "espresso", "rf") so drivers, benches and tests can request them without
+// linking against each learner's options struct. Portfolio teams are built
+// by portfolio::team_factory (see portfolio/team.hpp), never by name.
 
 #include <functional>
 #include <memory>
@@ -36,9 +36,6 @@ class LearnerFactory {
   [[nodiscard]] explicit operator bool() const { return fn_ != nullptr; }
 
   // -------------------------------------------------------------- registry
-  /// Registers (or replaces) a named factory. Thread-safe.
-  static void register_factory(const std::string& key, Fn fn);
-
   /// Looks up a registered factory; throws std::out_of_range if absent.
   static LearnerFactory from_registry(const std::string& key);
 
@@ -46,7 +43,7 @@ class LearnerFactory {
   /// when `key` is not registered. Lets drivers report bad names cleanly.
   static LearnerFactory try_from_registry(const std::string& key);
 
-  /// Sorted names of every registered factory (built-ins included).
+  /// Sorted names of every registered factory.
   static std::vector<std::string> registered();
 
  private:

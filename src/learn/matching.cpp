@@ -177,16 +177,4 @@ std::optional<MatchResult> match_standard_function(
   return std::nullopt;
 }
 
-TrainedModel MatchLearner::fit(const data::Dataset& train,
-                               const data::Dataset& valid, core::Rng& rng) {
-  (void)rng;
-  if (auto m = match_standard_function(train, options_)) {
-    return finish_model(std::move(m->circuit), label_ + ":" + m->what, train,
-                        valid);
-  }
-  aig::Aig g(static_cast<std::uint32_t>(train.num_inputs()));
-  g.add_output(train.label_fraction() >= 0.5 ? aig::kLitTrue : aig::kLitFalse);
-  return finish_model(std::move(g), label_ + ":none", train, valid);
-}
-
 }  // namespace lsml::learn

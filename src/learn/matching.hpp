@@ -35,19 +35,4 @@ struct MatchResult {
 std::optional<MatchResult> match_standard_function(const data::Dataset& train,
                                                    const MatchOptions& options);
 
-/// Learner adapter: returns the matched circuit, or the majority constant
-/// when nothing matches (callers treat that as "no match").
-class MatchLearner final : public Learner {
- public:
-  explicit MatchLearner(MatchOptions options, std::string label = "match")
-      : options_(options), label_(std::move(label)) {}
-  [[nodiscard]] std::string name() const override { return label_; }
-  TrainedModel fit(const data::Dataset& train, const data::Dataset& valid,
-                   core::Rng& rng) override;
-
- private:
-  MatchOptions options_;
-  std::string label_;
-};
-
 }  // namespace lsml::learn

@@ -717,14 +717,6 @@ learn::LearnerFactory team_factory(int number, const TeamOptions& options) {
       [number, options] { return make_team(number, options); });
 }
 
-void register_team_factories(const TeamOptions& options) {
-  for (const int t : all_team_numbers()) {
-    learn::LearnerFactory::register_factory(
-        "team" + std::to_string(t),
-        [t, options] { return make_team(t, options); });
-  }
-}
-
 std::vector<ContestEntry> contest_entries(const std::vector<int>& teams,
                                           const TeamOptions& options) {
   std::vector<ContestEntry> entries;

@@ -34,12 +34,6 @@ std::unique_ptr<learn::Learner> make_team(int number,
 /// no global state is touched.
 learn::LearnerFactory team_factory(int number, const TeamOptions& options);
 
-/// Explicitly publishes all ten teams in the LearnerFactory registry as
-/// "team1".."team10" with the given options (last call wins). Kept separate
-/// from team_factory so by-name lookup never depends on hidden side
-/// effects of unrelated calls.
-void register_team_factories(const TeamOptions& options);
-
 /// Contest entries for the given team numbers (convenience for
 /// suite::run_contest_on; pass all_team_numbers() for the full contest).
 std::vector<ContestEntry> contest_entries(const std::vector<int>& teams,

@@ -188,8 +188,7 @@ void Server::drain_loop(Loop& loop) {
   for (Conn* conn : conns) {
     conn->read_open = false;
     conn->read_buf.clear();  // partial lines are dropped, as before
-    update_interest(*conn);
-    settle(*conn);  // closes what is already idle
+    advance(*conn);  // closes what is already idle
   }
   maybe_finish_drain(loop);
 }
@@ -287,15 +286,13 @@ void Server::on_conn_event(Loop& loop, std::uint64_t id, std::uint32_t ready) {
     return;
   }
   if ((ready & core::EventLoop::kWrite) != 0) {
-    flush(conn);
+    flush(conn);  // room in the write buffer before the queue runs
   }
   if ((ready & core::EventLoop::kRead) != 0 && conn.read_open &&
       !conn.read_paused) {
     handle_readable(conn);
   }
-  run_queued(conn);
-  flush(conn);
-  settle(conn);
+  advance(conn);
 }
 
 void Server::handle_readable(Conn& conn) {
@@ -347,42 +344,27 @@ void Server::frame_data(Conn& conn, const char* data, std::size_t len) {
   // Frame straight out of the recv chunk: complete lines are copied once
   // (into pending), and read_buf only ever holds a trailing partial line —
   // the common whole-request-per-chunk case never round-trips through it.
-  const std::size_t max_bytes = options_.max_request_bytes;
   std::size_t start = 0;
-  if (!conn.read_buf.empty()) {
-    // Finish the partial line carried over from earlier chunks.
-    const auto* nl = static_cast<const char*>(::memchr(data, '\n', len));
-    if (nl == nullptr) {
-      conn.read_buf.append(data, len);
-      if (max_bytes > 0 && conn.read_buf.size() > max_bytes) {
-        // An unterminated line already past the cap mid-frame: same policy
-        // as a framed oversized line — answer once, then hang up; reading
-        // on would be unbounded memory.
-        reject_oversized(conn);
-      }
-      return;
-    }
-    const auto idx = static_cast<std::size_t>(nl - data);
-    std::string line = std::move(conn.read_buf);
-    conn.read_buf.clear();
-    line.append(data, idx);
-    if (!take_line(conn, std::move(line))) {
-      return;
-    }
-    start = idx + 1;
-  }
   while (start < len) {
     const auto* nl =
         static_cast<const char*>(::memchr(data + start, '\n', len - start));
     if (nl == nullptr) {
-      conn.read_buf.assign(data + start, len - start);
-      if (max_bytes > 0 && conn.read_buf.size() > max_bytes) {
+      conn.read_buf.append(data + start, len - start);
+      if (options_.max_request_bytes > 0 &&
+          conn.read_buf.size() > options_.max_request_bytes) {
+        // An unterminated line already past the cap: same policy as a
+        // framed oversized line — answer once, then hang up; reading on
+        // would be unbounded memory.
         reject_oversized(conn);
       }
       return;
     }
     const auto idx = static_cast<std::size_t>(nl - data);
-    if (!take_line(conn, std::string(data + start, idx - start))) {
+    // The first line may finish a partial one carried over in read_buf.
+    std::string line = std::move(conn.read_buf);
+    conn.read_buf.clear();
+    line.append(data + start, idx - start);
+    if (!take_line(conn, std::move(line))) {
       return;
     }
     start = idx + 1;
@@ -393,41 +375,27 @@ void Server::reject_oversized(Conn& conn) {
   stats_.oversized_rejects.fetch_add(1, std::memory_order_relaxed);
   conn.read_open = false;
   conn.read_buf.clear();  // nothing past the poison line is trusted
-  // Requests framed before the poison line still get their responses (the
-  // historical serial behavior); run_queued sends the error line after
-  // them.
-  conn.oversized = true;
-}
-
-void Server::maybe_send_reject(Conn& conn) {
-  if (!conn.oversized || conn.close_after_flush || conn.busy ||
-      !conn.pending.empty()) {
-    return;
-  }
-  conn.close_after_flush = true;
-  conn.write_buf += oversized_error_line(options_.max_request_bytes);
+  // The reject is the queue's last entry, so every request framed before
+  // the poison line is answered first (the historical serial behavior).
+  conn.pending.push_back({std::string(), std::chrono::steady_clock::now()});
 }
 
 void Server::run_queued(Conn& conn) {
-  conn.yielded = false;
   std::size_t spent = 0;
-  while (!conn.busy && !conn.pending.empty() && !conn.broken) {
-    if (conn.write_buf.size() - conn.write_off >
-        options_.write_high_water_bytes) {
-      // A reader this far behind gets no new replies until it catches up;
-      // write readiness resumes the queue.
-      flush(conn);
-      if (conn.write_buf.size() - conn.write_off >
-          options_.write_high_water_bytes) {
-        break;
-      }
-    }
-    if (spent >= kTurnBytes) {
-      conn.yielded = true;  // write readiness brings the next turn
-      break;
-    }
+  // A reader more than the high-water mark behind gets no new replies
+  // until it catches up; a connection past its turn's budget lets the
+  // loop's other connections go first. Either way its lines stay queued,
+  // and update_interest keeps write interest armed for the next turn.
+  while (!conn.busy && !conn.pending.empty() && !conn.broken &&
+         conn.write_buf.size() - conn.write_off <=
+             options_.write_high_water_bytes &&
+         spent < kTurnBytes) {
     Pending next = std::move(conn.pending.front());
     conn.pending.pop_front();
+    if (next.line.empty()) {
+      conn.write_buf += oversized_error_line(options_.max_request_bytes);
+      continue;
+    }
     conn.pending_bytes -= next.line.size();
     spent += next.line.size();
     if (next.line.size() > kInlineLineBytes) {
@@ -446,7 +414,6 @@ void Server::run_queued(Conn& conn) {
     conn.write_buf += service_.execute(request);
     conn.write_buf.push_back('\n');
   }
-  maybe_send_reject(conn);
 }
 
 template <typename Work>
@@ -472,14 +439,23 @@ void Server::finish_pooled(Loop& loop, std::uint64_t id,
   conn.busy = false;
   conn.write_buf += response;
   conn.write_buf.push_back('\n');
+  advance(conn);
+}
+
+void Server::advance(Conn& conn) {
   run_queued(conn);
   flush(conn);
-  settle(conn);
+  const bool write_done = conn.write_off >= conn.write_buf.size();
+  if (conn.broken || (!conn.read_open && !conn.busy && conn.pending.empty() &&
+                      write_done)) {
+    close_conn(conn);  // nothing will ever happen on it again
+    return;
+  }
+  update_interest(conn);
 }
 
 void Server::flush(Conn& conn) {
-  // Span only when there are bytes to move (flush is also called to
-  // re-evaluate interest with an empty buffer).
+  // Span only when there are bytes to move (every turn ends in a flush).
   obs::ScopedSpan write_span(
       conn.write_off < conn.write_buf.size() ? "write" : nullptr, "server");
   while (conn.write_off < conn.write_buf.size() && !conn.broken) {
@@ -507,6 +483,9 @@ void Server::flush(Conn& conn) {
     conn.write_buf.erase(0, conn.write_off);
     conn.write_off = 0;
   }
+}
+
+void Server::update_interest(Conn& conn) {
   const std::size_t unsent = conn.write_buf.size() - conn.write_off;
   const std::size_t high = options_.write_high_water_bytes;
   if (!conn.read_paused && (unsent > high || conn.pending_bytes > high)) {
@@ -518,33 +497,16 @@ void Server::flush(Conn& conn) {
              conn.pending_bytes <= high / 2) {
     conn.read_paused = false;
   }
-  update_interest(conn);
-}
-
-void Server::update_interest(Conn& conn) {
   std::uint32_t interest = 0;
-  if (conn.read_open && !conn.read_paused && !conn.close_after_flush) {
+  if (conn.read_open && !conn.read_paused) {
     interest |= core::EventLoop::kRead;
   }
   // A connected socket reports write readiness on the next epoll cycle,
-  // which is how a connection that yielded its turn gets the next one.
-  if (conn.write_off < conn.write_buf.size() || conn.yielded) {
+  // which is how a connection with runnable lines gets its next turn.
+  if (unsent > 0 || (!conn.busy && !conn.pending.empty())) {
     interest |= core::EventLoop::kWrite;
   }
   conn.loop->events.set_interest(conn.fd, interest);
-}
-
-void Server::settle(Conn& conn) {
-  const bool write_done = conn.write_off >= conn.write_buf.size();
-  const bool done =
-      conn.broken ||
-      (conn.close_after_flush
-           ? write_done && !conn.busy
-           : !conn.read_open && !conn.busy && conn.pending.empty() &&
-                 write_done);
-  if (done) {
-    close_conn(conn);
-  }
 }
 
 void Server::close_conn(Conn& conn) {

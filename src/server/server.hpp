@@ -33,20 +33,30 @@
 // Backpressure: a connection whose write buffer (a slow reader) or queue
 // of framed, unrun lines (a writer far ahead of its pooled request) climbs
 // past `write_high_water_bytes` stops being read until both are back
-// under half the mark; a full write buffer also stops running queued
-// lines. Memory per connection stays bounded by high-water +
+// under half the mark; a write buffer past the mark also stops running
+// queued lines. Memory per connection stays bounded by high-water +
 // max_request_bytes no matter what the peer does.
+//
+// Every event on a connection (readiness, a pooled reply, the drain) ends
+// in one step, advance(): run the queue, flush, then close the connection
+// or derive its epoll interest from its state alone —
+//   read   while the peer may still send and reads are not paused;
+//   write  while reply bytes are unsent, or while lines are queued and no
+//          request is out on the pool.
+// So a connection whose turn ended with runnable lines (turn budget spent,
+// or the write buffer past the mark) always wakes on the next epoll cycle.
 //
 // Robustness contract (pinned by tests/server_test.cpp): a malformed line
 // gets an error response and the connection lives on; a line that grows
-// past `max_request_bytes` gets an error response and the connection is
-// closed (the only way to bound memory without trusting the client); a
-// client that disconnects or half-closes mid-request affects nothing but
-// its own connection (a half-closed peer still receives every response it
-// was owed). `max_connections` is one count across all loops. stop()
-// drains every loop: it stops accepting, lets queued and in-flight
-// requests finish and their responses flush for up to five seconds, then
-// force-closes whatever is left.
+// past `max_request_bytes` gets an error response, after the replies to
+// every line queued before it, and the connection is closed (the only way
+// to bound memory without trusting the client); a client that disconnects
+// or half-closes mid-request affects nothing but its own connection (a
+// half-closed peer still receives every response it was owed).
+// `max_connections` is one count across all loops. stop() drains every
+// loop: it stops accepting, lets queued and in-flight requests finish and
+// their responses flush for up to five seconds, then force-closes
+// whatever is left.
 //
 // Binding port 0 picks an ephemeral port, readable via port() — how tests
 // and the bench run many servers without colliding.
@@ -151,7 +161,8 @@ class Server {
   struct Loop;
 
   /// A framed request line, stamped at frame time (the documented
-  /// "queueing counts against the deadline" semantics).
+  /// "queueing counts against the deadline" semantics). An empty line is
+  /// the oversized reject: take_line never queues an empty request.
   struct Pending {
     std::string line;
     std::chrono::steady_clock::time_point received_at;
@@ -170,11 +181,8 @@ class Server {
     std::deque<Pending> pending;  ///< framed lines not yet run
     std::size_t pending_bytes = 0;  ///< their total size
     bool busy = false;         ///< one request is out on the pool
-    bool read_open = true;     ///< peer has not EOF'd / errored
+    bool read_open = true;     ///< no EOF, read error, reject or drain yet
     bool read_paused = false;  ///< backpressure: EPOLLIN disabled
-    bool yielded = false;      ///< used its turn with lines still queued
-    bool oversized = false;    ///< reject owed once pending drains
-    bool close_after_flush = false;  ///< oversized reject sent
     bool broken = false;       ///< a send failed; close at once
   };
 
@@ -202,19 +210,21 @@ class Server {
   /// pool, the write buffer passes the high-water mark, or the turn's
   /// byte budget is spent.
   void run_queued(Conn& conn);
+  /// The step every connection event ends in: run_queued, flush, then
+  /// close the connection if nothing will ever happen on it again, else
+  /// update_interest.
+  void advance(Conn& conn);
   /// Hands one request to the pool; its reply comes back through
   /// finish_pooled on the owning loop.
   template <typename Work>
   void to_pool(Conn& conn, Work work);
   void finish_pooled(Loop& loop, std::uint64_t id, std::string response);
   void flush(Conn& conn);
+  /// Pauses or resumes reading (the backpressure hysteresis), then sets
+  /// the epoll interest the header comment states.
   void update_interest(Conn& conn);
+  /// Stops reading and queues the error line behind the framed requests.
   void reject_oversized(Conn& conn);
-  /// Queues the owed oversized-reject error line once earlier framed
-  /// requests have been answered, then arms close-after-flush.
-  void maybe_send_reject(Conn& conn);
-  /// Closes the connection if nothing will ever happen on it again.
-  void settle(Conn& conn);
   void close_conn(Conn& conn);
   void begin_drain();
   void drain_loop(Loop& loop);

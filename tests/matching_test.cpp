@@ -115,17 +115,5 @@ TEST(Matching, DoesNotFalsePositiveOnRandomCone) {
       << "random logic must not be claimed as a standard function";
 }
 
-TEST(MatchLearner, FallsBackToMajorityConstant) {
-  const auto cone =
-      oracle::make_cone_oracle(12, 150, aig::ConeFlavor::kRandom, 77);
-  const auto train = sample(*cone, 300, 13);
-  const auto valid = sample(*cone, 150, 14);
-  MatchLearner learner({}, "match");
-  core::Rng rng(15);
-  const TrainedModel model = learner.fit(train, valid, rng);
-  EXPECT_NE(model.method.find("none"), std::string::npos);
-  EXPECT_EQ(model.circuit.num_ands(), 0u);
-}
-
 }  // namespace
 }  // namespace lsml::learn

@@ -1616,6 +1616,65 @@ TEST(ServerTest, SlowReaderTriggersBackpressureAndLosesNothing) {
   EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
 }
 
+TEST(ServerTest, OversizedLineBehindAPausedQueueIsRejectedLast) {
+  // Wide evals pipelined to a reader that does not read at first, so the
+  // connection pauses with lines still queued; an oversized line then
+  // lands behind them. Every eval is answered byte for byte, the error
+  // line comes last, and the server hangs up.
+  ServerOptions options = test_server_options();
+  options.write_high_water_bytes = 4096;
+  options.send_buffer_bytes = 16384;
+  options.max_request_bytes = 32u << 10;
+  Server server(options);
+  server.start();
+
+  const std::string pla = pla_for(2, [](std::uint32_t r) { return r != 1; });
+  Client setup;
+  setup.connect("127.0.0.1", server.port());
+  const Json learned = Json::parse(setup.roundtrip(learn_request(pla).dump()));
+  ASSERT_TRUE(learned.at("ok").as_bool());
+  Service reference;
+  ASSERT_TRUE(handle(reference, learn_request(pla)).at("ok").as_bool());
+
+  constexpr int kEvals = 8;
+  std::string burst;
+  std::vector<std::string> expected;
+  for (int i = 0; i < kEvals; ++i) {
+    Json eval = make_request("eval");
+    eval.set("id", std::int64_t{i});
+    eval.set("model", learned.at("model").as_string());
+    Json inputs = Json::array();
+    for (int r = 0; r < 4000; ++r) {
+      inputs.push_back(Json((r + i) % 3 == 0 ? "10" : "01"));
+    }
+    eval.set("inputs", std::move(inputs));
+    const std::string line = eval.dump();
+    ASSERT_LE(line.size(), options.max_request_bytes);
+    burst += line + "\n";
+    expected.push_back(reference.handle_line(line));
+  }
+  // Unterminated and one byte over the cap: the reject fires on the last
+  // byte the client sends, so no unread byte turns the close into a reset.
+  burst += std::string(options.max_request_bytes + 1, 'x');
+
+  Client slow;
+  slow.connect("127.0.0.1", server.port(), 4096);
+  std::thread writer([&] { slow.send_raw(burst); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int i = 0; i < kEvals; ++i) {
+    std::string reply;
+    ASSERT_TRUE(slow.recv_line(&reply)) << i;
+    EXPECT_EQ(reply, expected[i]) << i;
+  }
+  std::string line;
+  ASSERT_TRUE(slow.recv_line(&line));
+  EXPECT_NE(line.find("max-request-bytes"), std::string::npos);
+  EXPECT_FALSE(slow.recv_line(&line));  // connection closed
+  writer.join();
+  EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
+  EXPECT_EQ(server.stats().oversized_rejects.load(), 1u);
+}
+
 TEST(ServerTest, QueuedRequestsPauseReadingWhileAPooledOneRuns) {
   // A sleeping ping holds the only worker, and the same connection
   // pipelines 8 MB of pings behind it. None can run before the sleep

@@ -39,12 +39,9 @@ TEST(Teams, FactoryBuildsIndependentInstances) {
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get()) << "each make() must own a fresh instance";
   EXPECT_EQ(a->name(), "team10");
-  // Registry publication is explicit, never a team_factory side effect.
+  // Teams are never in the by-name registry.
   EXPECT_THROW(learn::LearnerFactory::from_registry("team10"),
                std::out_of_range);
-  register_team_factories(options);
-  const auto from_registry = learn::LearnerFactory::from_registry("team10");
-  EXPECT_EQ(from_registry.make()->name(), "team10");
   EXPECT_THROW(team_factory(11, options), std::invalid_argument);
 }
 
