@@ -189,12 +189,4 @@ std::size_t SimEngine::count_equal(Lit l, const core::BitVec& ref) const {
   return rows_ - diff;
 }
 
-void SimEngine::count_equal_many(const Lit* lits, std::size_t n,
-                                 const core::BitVec& ref,
-                                 std::size_t* out) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = count_equal(lits[i], ref);
-  }
-}
-
 }  // namespace lsml::aig

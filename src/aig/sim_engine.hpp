@@ -95,12 +95,6 @@ class SimEngine {
   /// rows()). The accuracy kernel: no output BitVec is materialized.
   [[nodiscard]] std::size_t count_equal(Lit l, const core::BitVec& ref) const;
 
-  /// count_equal for a batch of candidate literals against one reference —
-  /// one pass over the arena per literal, no per-literal setup. This is
-  /// the "score every candidate of one sweep" fusion the learners use.
-  void count_equal_many(const Lit* lits, std::size_t n,
-                        const core::BitVec& ref, std::size_t* out) const;
-
  private:
   void rebuild_schedule();
 

@@ -627,10 +627,11 @@ int cmd_synth(const std::vector<std::string>& args) {
   const synth::SynthResult& result = outcome.result;
   export_trace(trace_out);
 
+  const synth::Script script = request.resolved_script();
   std::printf("%s: %u inputs, %u AND gates, %u levels\n", in_path.c_str(),
               in.num_pis(), in.num_ands(), in.num_levels());
   std::printf("script %s (%s), max-gates %u, rounds %d\n",
-              outcome.script.name.c_str(), outcome.script.str().c_str(),
+              script.name.c_str(), script.str().c_str(),
               request.options.node_budget, request.options.max_rounds);
   std::printf("\n");
   std::printf("%-14s %9s %9s %8s %8s %9s\n", "pass", "ands", "->", "levels",

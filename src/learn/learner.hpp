@@ -12,7 +12,9 @@
 // synth::OptRequest (the installed synth::default_optimizer(); memoized
 // by circuit structure) exactly once and records the pass trace. No
 // learner runs AIG passes directly; "how circuits get optimized" is the
-// pass manager's contract, not each learner's habit.
+// pass manager's contract, not each learner's habit. The script is one
+// setting of the whole run, so a model does not carry it: whoever
+// installed the request reports it (leaderboard.json's `opt` block).
 
 #include <memory>
 #include <string>
@@ -39,9 +41,6 @@ struct TrainedModel {
   /// pass-manager run, not the learner: a later approximation downgrades
   /// it to kSkippedApprox (and is also visible in the method suffix).
   synth::VerifyStatus verified = synth::VerifyStatus::kNotRequested;
-  /// Canonical text of the script that optimized `circuit` (the installed
-  /// request's). Feeds the leaderboard's script column.
-  std::string opt_script;
 };
 
 class Learner {
@@ -58,15 +57,6 @@ double circuit_accuracy(const aig::Aig& circuit, const data::Dataset& ds);
 /// Same, through a caller-held SimEngine bound to the circuit — the word
 /// arena is reused across datasets (train/valid scoring shares one).
 double circuit_accuracy(aig::SimEngine& engine, const data::Dataset& ds);
-
-/// Accuracies of many candidate output literals of the bound circuit in
-/// one sweep: the graph is simulated once over `ds`, then every candidate
-/// is scored with a reduction pass over its arena row — no per-candidate
-/// simulation, no output BitVec materialized. This is the batch kernel
-/// for search layers that compare alternative outputs of one structure.
-std::vector<double> circuit_accuracies(aig::SimEngine& engine,
-                                       const data::Dataset& ds,
-                                       const std::vector<aig::Lit>& candidates);
 
 /// Optimizes the raw circuit through the process-default synth::OptRequest
 /// (memoized on circuit structure, so identical circuits across teams

@@ -36,10 +36,9 @@ namespace lsml::obs {
 
 // A monotonically increasing counter striped across cache-line-aligned
 // cells: each thread picks one cell round-robin at first use and only ever
-// fetch_adds that cell, so concurrent writers never contend on a line.
-// Reads merge all cells. API is a drop-in superset of the
-// std::atomic<std::uint64_t> members the pre-registry stats structs used
-// (fetch_add / load), so existing call sites and tests compile unchanged.
+// adds to that cell, so concurrent writers never contend on a line.
+// Reads (load) merge all cells; add has no return value, since a striped
+// counter has no cheap "value before this add".
 class Counter {
  public:
   static constexpr std::size_t kCells = 16;
@@ -51,14 +50,7 @@ class Counter {
   void add(std::uint64_t n = 1) noexcept {
     cell().fetch_add(n, std::memory_order_relaxed);
   }
-  // atomic<> compatibility shim; the return value is intentionally absent —
-  // a striped counter has no cheap "value before this add".
-  void fetch_add(std::uint64_t n,
-                 std::memory_order = std::memory_order_relaxed) noexcept {
-    add(n);
-  }
-  std::uint64_t load(
-      std::memory_order = std::memory_order_relaxed) const noexcept {
+  std::uint64_t load() const noexcept {
     std::uint64_t total = 0;
     for (const Cell& c : cells_) {
       total += c.v.load(std::memory_order_relaxed);

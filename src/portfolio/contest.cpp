@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "synth/script_search.hpp"
+#include "synth/pass_manager.hpp"
 
 namespace lsml::portfolio {
 
@@ -25,9 +25,6 @@ double mean(const std::vector<BenchmarkResult>& results,
 
 double TeamRun::avg_test_acc() const {
   return mean(results, [](const BenchmarkResult& r) { return r.test_acc; });
-}
-double TeamRun::avg_valid_acc() const {
-  return mean(results, [](const BenchmarkResult& r) { return r.valid_acc; });
 }
 double TeamRun::avg_ands() const {
   return mean(results, [](const BenchmarkResult& r) {
@@ -89,17 +86,17 @@ core::Rng contest_rng(std::uint64_t seed, int team_number, int benchmark_id) {
 
 BenchmarkResult evaluate_on(learn::Learner& learner,
                             const oracle::Benchmark& bench, core::Rng& rng,
-                            aig::Aig* circuit_out) {
+                            std::uint32_t node_budget, aig::Aig* circuit_out) {
   learn::TrainedModel model = learner.fit(bench.train, bench.valid, rng);
   // The exported-artifact guarantee: whatever the learner did internally,
-  // the deliverable respects the default pipeline's gate cap. Portfolio
-  // teams enforce their own budget, so this pass almost always no-ops;
-  // bare learners entered via --learners rely on it.
-  const std::uint32_t budget = synth::default_opt_request().options.node_budget;
-  const bool budget_capped = budget > 0 && model.circuit.num_ands() > budget;
+  // the deliverable respects the run's gate cap. Portfolio teams enforce
+  // their own budget, so this pass almost always no-ops; bare learners
+  // entered via --learners rely on it.
+  const bool budget_capped =
+      node_budget > 0 && model.circuit.num_ands() > node_budget;
   if (budget_capped) {
     synth::BudgetFit fit =
-        synth::fit_to_budget(std::move(model.circuit), budget, rng);
+        synth::fit_to_budget(std::move(model.circuit), node_budget, rng);
     model.circuit = std::move(fit.circuit);
     model.synth_trace.insert(model.synth_trace.end(), fit.trace.begin(),
                              fit.trace.end());
@@ -125,7 +122,6 @@ BenchmarkResult evaluate_on(learn::Learner& learner,
   result.num_levels = model.circuit.num_levels();
   result.synth_trace = std::move(model.synth_trace);
   result.verified = model.verified;
-  result.opt_script = std::move(model.opt_script);
   if (circuit_out != nullptr) {
     *circuit_out = std::move(model.circuit);
   }

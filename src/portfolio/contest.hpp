@@ -6,6 +6,10 @@
 // overfit), the accuracy-size Pareto frontier of the virtual best (Fig. 2),
 // per-benchmark maximum accuracy (Fig. 3), and win rates (Fig. 4).
 //
+// A result is the task's deliverable (circuit metrics, pass trace and
+// verdict). The optimization script is one setting of the whole run, so
+// results do not carry it; suite::RunnerOptions::opt states it once.
+//
 // Execution model: the contest is a bag of independent (team, benchmark)
 // tasks, driven by suite::run_contest_on (suite/runner.hpp). Each task gets
 // its own learner instance (built from a LearnerFactory) and its own RNG
@@ -41,10 +45,6 @@ struct BenchmarkResult {
   /// top (the +budget/+approx method suffixes) downgrades to
   /// kSkippedApprox. Persisted by suite::ResultCache.
   synth::VerifyStatus verified = synth::VerifyStatus::kNotRequested;
-  /// Canonical text of the optimization script behind this artifact (the
-  /// leaderboard's script column) — the installed request's script.
-  /// Persisted by suite::ResultCache.
-  std::string opt_script;
 
   /// AND gates entering the pipeline (the raw lowered circuit).
   [[nodiscard]] std::uint32_t synth_ands_in() const;
@@ -59,7 +59,6 @@ struct TeamRun {
   std::vector<BenchmarkResult> results;
 
   [[nodiscard]] double avg_test_acc() const;
-  [[nodiscard]] double avg_valid_acc() const;
   [[nodiscard]] double avg_ands() const;
   [[nodiscard]] double avg_levels() const;
   /// The paper's overfit metric: mean (validation - test) accuracy.
@@ -84,13 +83,14 @@ core::Rng contest_rng(std::uint64_t seed, int team_number, int benchmark_id);
 /// it receives the synthesized AIG (the contest deliverable), so callers
 /// can export AIGER artifacts without re-running the learner.
 ///
-/// The deliverable honors the process-default synth::OptRequest's node
-/// budget unconditionally: if the learner hands back a circuit over
-/// budget, synth::fit_to_budget runs here (with the task RNG) and the
-/// accuracies are re-measured — so every exported artifact fits the
-/// contest's gate cap no matter which learner produced it.
+/// The deliverable honors `node_budget` (the run's AND cap; 0 = none)
+/// unconditionally: if the learner hands back a circuit over budget,
+/// synth::fit_to_budget runs here (with the task RNG) and the accuracies
+/// are re-measured — so every exported artifact fits the contest's gate
+/// cap no matter which learner produced it.
 BenchmarkResult evaluate_on(learn::Learner& learner,
                             const oracle::Benchmark& bench, core::Rng& rng,
+                            std::uint32_t node_budget,
                             aig::Aig* circuit_out = nullptr);
 
 /// One contestant: a team number plus the recipe for its learner. Every

@@ -219,7 +219,7 @@ void Server::on_listen_ready() {
         continue;
       }
       if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
+        stats_.io_errors.add(1);
       }
       return;
     }
@@ -233,7 +233,7 @@ void Server::on_listen_ready() {
     // cannot over-admit; other loops only ever lower the count.
     if (options_.max_connections > 0 &&
         open_conns_.load() >= options_.max_connections) {
-      stats_.over_connection_cap.fetch_add(1, std::memory_order_relaxed);
+      stats_.over_connection_cap.add(1);
       Json r = Json::object();
       r.set("ok", false);
       r.set("error", "connection limit (" +
@@ -247,7 +247,7 @@ void Server::on_listen_ready() {
       continue;
     }
     open_conns_.fetch_add(1);
-    stats_.connections.fetch_add(1, std::memory_order_relaxed);
+    stats_.connections.add(1);
     if (options_.verbosity >= 1) {
       std::fprintf(stderr, "lsml serve: connection from %s:%d\n",
                    inet_ntoa(peer.sin_addr), ntohs(peer.sin_port));
@@ -316,7 +316,7 @@ void Server::handle_readable(Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return;
     }
-    stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.io_errors.add(1);
     conn.read_open = false;
     conn.read_buf.clear();
     return;
@@ -372,7 +372,7 @@ void Server::frame_data(Conn& conn, const char* data, std::size_t len) {
 }
 
 void Server::reject_oversized(Conn& conn) {
-  stats_.oversized_rejects.fetch_add(1, std::memory_order_relaxed);
+  stats_.oversized_rejects.add(1);
   conn.read_open = false;
   conn.read_buf.clear();  // nothing past the poison line is trusted
   // The reject is the queue's last entry, so every request framed before
@@ -472,7 +472,7 @@ void Server::flush(Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;
     }
-    stats_.io_errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.io_errors.add(1);
     conn.broken = true;
   }
   if (conn.write_off >= conn.write_buf.size()) {
@@ -492,7 +492,7 @@ void Server::update_interest(Conn& conn) {
     // Backpressure: a reader this far behind, or a writer this far ahead
     // of its queue, stops driving new requests until it catches up.
     conn.read_paused = true;
-    stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+    stats_.backpressure_pauses.add(1);
   } else if (conn.read_paused && unsent <= high / 2 &&
              conn.pending_bytes <= high / 2) {
     conn.read_paused = false;

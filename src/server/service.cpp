@@ -299,7 +299,7 @@ bool Service::prepare_inline(Request& request) {
 }
 
 std::string Service::execute(const Request& request) {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
+  stats_.requests.add(1);
   // Queue wait: transport frame time -> parse, plus parse -> execution
   // start for a request that waited for a worker. The parse itself is
   // not waiting and is left out.
@@ -325,14 +325,14 @@ std::string Service::execute(const Request& request) {
     obs::ScopedSpan serialize_span("serialize", "server");
     return response.dump();
   } catch (const DeadlineExpired& e) {
-    stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.deadline_expired.add(1);
+    stats_.errors.add(1);
     Json r = response_base(request.json_, "error", false);
     r.set("error", e.what());
     r.set("expired", true);
     return r.dump();
   } catch (const std::exception& e) {
-    stats_.errors.fetch_add(1, std::memory_order_relaxed);
+    stats_.errors.add(1);
     Json r = response_base(request.json_, "error", false);
     r.set("error", e.what());
     return r.dump();
@@ -451,7 +451,7 @@ Json Service::handle_learn(const Json& request, const Deadline& deadline) {
         if (deadline.expired()) {
           throw DeadlineExpired("learn started");
         }
-        stats_.learns.fetch_add(1, std::memory_order_relaxed);
+        stats_.learns.add(1);
         core::Rng rng(hash);  // depends only on the request content hash
         const std::unique_ptr<learn::Learner> learner = factory.make();
         learn::TrainedModel trained = learner->fit(train, valid, rng);
@@ -482,7 +482,7 @@ Json Service::handle_learn(const Json& request, const Deadline& deadline) {
       std::rethrow_exception(failure);
     }
   } else if (model == nullptr) {
-    stats_.model_inflight_joins.fetch_add(1, std::memory_order_relaxed);
+    stats_.model_inflight_joins.add(1);
     model = flight.get();  // rethrows whatever failed the leader
   }
 
@@ -675,7 +675,7 @@ Json Service::handle_eval(const Request& parsed) {
   thread_local aig::SimEngine engine;
   thread_local std::vector<core::BitVec> outputs;
   {
-    stats_.eval_sweeps.fetch_add(1, std::memory_order_relaxed);
+    stats_.eval_sweeps.add(1);
     obs::ScopedSpan sweep_span("sweep", "sim");
     std::vector<const core::BitVec*> ptrs(num_pis);
     for (std::size_t col = 0; col < num_pis; ++col) {
@@ -685,8 +685,8 @@ Json Service::handle_eval(const Request& parsed) {
     engine.run(ptrs);
     engine.outputs_into(&outputs);
   }
-  stats_.evals.fetch_add(1, std::memory_order_relaxed);
-  stats_.eval_rows.fetch_add(total_rows, std::memory_order_relaxed);
+  stats_.evals.add(1);
+  stats_.eval_rows.add(total_rows);
 
   Json r = response_base(request, "eval", true);
   r.set("model", id);
@@ -757,9 +757,9 @@ Json Service::handle_synth(const Json& request, const Deadline& deadline) {
   }
   const synth::OptOutcome out = optimizer_->optimize(in, req);
 
-  stats_.synths.fetch_add(1, std::memory_order_relaxed);
+  stats_.synths.add(1);
   Json r = response_base(request, "synth", true);
-  r.set("script", out.script.str());
+  r.set("script", req.script_display());
   r.set("ands_in", out.result.ands_in());
   r.set("ands", out.result.circuit.num_ands());
   r.set("levels", out.result.circuit.num_levels());
@@ -789,7 +789,7 @@ Json Service::handle_cec(const Json& request, const Deadline& deadline) {
   sat::CecLimits limits;
   limits.conflict_budget =
       optional_int(request, "conflicts", kCecConflictBudget, 0, INT64_MAX);
-  stats_.cecs.fetch_add(1, std::memory_order_relaxed);
+  stats_.cecs.add(1);
 
   Json r = response_base(request, "cec", true);
   if (deadline.active()) {
@@ -797,7 +797,7 @@ Json Service::handle_cec(const Json& request, const Deadline& deadline) {
     if (remaining <= 0) {
       // A blown deadline degrades to the verdict a blown SAT budget gives:
       // undecided, never a wrong answer and never a stalled worker.
-      stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+      stats_.deadline_expired.add(1);
       r.set("verdict", "undecided");
       r.set("expired", true);
       return r;
@@ -848,7 +848,7 @@ Json Service::handle_ping(const Json& request, const Deadline& deadline) {
   if (sleep_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
   }
-  stats_.pings.fetch_add(1, std::memory_order_relaxed);
+  stats_.pings.add(1);
   return response_base(request, "ping", true);
 }
 
@@ -896,7 +896,7 @@ Service::ModelPtr Service::store_find_locked(const std::string& id) {
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  stats_.model_memory_hits.fetch_add(1, std::memory_order_relaxed);
+  stats_.model_memory_hits.add(1);
   return it->second.model;
 }
 
@@ -930,7 +930,7 @@ void Service::store_put(const std::string& id, ModelPtr m) {
     store_bytes_ -= victim->second.bytes;
     store_.erase(victim);
     lru_.pop_back();
-    stats_.model_evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.model_evictions.add(1);
   }
 }
 
@@ -969,7 +969,7 @@ Service::ModelPtr Service::disk_get(
   stored->train_acc = task->result.train_acc;
   stored->valid_acc = task->result.valid_acc;
   stored->verified = task->result.verified;
-  stats_.model_disk_hits.fetch_add(1, std::memory_order_relaxed);
+  stats_.model_disk_hits.add(1);
   store_put(id, stored);
   return stored;
 }
@@ -1010,8 +1010,8 @@ std::uint64_t Service::serve_stream(std::istream& in, std::ostream& out,
     }
     std::string response;
     if (max_request_bytes > 0 && line.size() > max_request_bytes) {
-      stats_.requests.fetch_add(1, std::memory_order_relaxed);
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
+      stats_.requests.add(1);
+      stats_.errors.add(1);
       Json r = Json::object();
       r.set("ok", false);
       r.set("error", "request exceeds --max-request-bytes (" +

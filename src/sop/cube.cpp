@@ -85,12 +85,4 @@ std::vector<core::BitVec> dataset_rows(const data::Dataset& ds) {
   return rows;
 }
 
-std::size_t cover_literals(const Cover& cover) {
-  std::size_t total = 0;
-  for (const Cube& c : cover) {
-    total += c.num_literals();
-  }
-  return total;
-}
-
 }  // namespace lsml::sop

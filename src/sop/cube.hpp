@@ -53,7 +53,4 @@ void remove_absorbed(Cover& cover);
 /// Extracts dataset rows as row-major bit vectors.
 std::vector<core::BitVec> dataset_rows(const data::Dataset& ds);
 
-/// Total number of literals in the cover.
-std::size_t cover_literals(const Cover& cover);
-
 }  // namespace lsml::sop

@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
+#include "aig/aig_io.hpp"
 #include "core/bits.hpp"
 
 namespace fs = std::filesystem;
@@ -24,6 +26,16 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+bool parse_hex16(const std::string& text, std::uint64_t* out) {
+  char* end = nullptr;
+  *out = std::strtoull(text.c_str(), &end, 16);
+  return text.size() == 16 && *end == '\0';
+}
+
+std::uint64_t aag_fnv1a(const std::string& aag) {
+  return core::fnv1a(aag.data(), aag.size());
 }
 
 /// Hexfloat spelling: the only decimal-free, bit-exact double round-trip.
@@ -139,9 +151,6 @@ std::optional<CachedTask> ResultCache::load(const std::string& team_key,
       !synth::verify_status_from_string(value, &r.verified)) {
     return std::nullopt;
   }
-  if (!next_field(is, "script", &r.opt_script)) {
-    return std::nullopt;
-  }
   std::uint32_t num_passes = 0;
   if (!read_u32("synth_passes", &num_passes) || num_passes > (1u << 20)) {
     return std::nullopt;
@@ -167,7 +176,9 @@ std::optional<CachedTask> ResultCache::load(const std::string& team_key,
     }
     r.synth_trace.push_back(std::move(stats));
   }
-  if (!next_field(is, "aag", &value)) {
+  std::uint64_t aag_digest = 0;
+  if (!next_field(is, "aag_fnv1a", &value) ||
+      !parse_hex16(value, &aag_digest) || !next_field(is, "aag", &value)) {
     return std::nullopt;
   }
   char* end = nullptr;
@@ -192,6 +203,22 @@ std::optional<CachedTask> ResultCache::load(const std::string& team_key,
   is.read(task.aag.data(), static_cast<std::streamsize>(aag_bytes));
   if (static_cast<unsigned long long>(is.gcount()) != aag_bytes) {
     return std::nullopt;  // truncated entry
+  }
+  // A well-formed but altered body (a flipped fanin digit) would otherwise
+  // be served as this row's artifact: check the digest, then that the body
+  // is the circuit the metrics describe.
+  if (aag_fnv1a(task.aag) != aag_digest) {
+    return std::nullopt;
+  }
+  try {
+    std::istringstream body(task.aag);
+    const aig::Aig circuit = aig::read_aag(body);
+    if (circuit.num_ands() != r.num_ands ||
+        circuit.num_levels() != r.num_levels) {
+      return std::nullopt;
+    }
+  } catch (const std::exception&) {
+    return std::nullopt;
   }
   return task;
 }
@@ -227,14 +254,14 @@ void ResultCache::store(const std::string& team_key,
          << "num_ands " << r.num_ands << '\n'
          << "num_levels " << r.num_levels << '\n'
          << "verified " << synth::to_string(r.verified) << '\n'
-         << "script " << r.opt_script << '\n'
          << "synth_passes " << r.synth_trace.size() << '\n';
       for (const synth::PassStats& s : r.synth_trace) {
         os << "pass " << s.ands_before << ' ' << s.ands_after << ' '
            << s.levels_before << ' ' << s.levels_after << ' '
            << double_repr(s.ms) << ' ' << s.pass << '\n';
       }
-      os << "aag " << task.aag.size() << '\n'
+      os << "aag_fnv1a " << hex16(aag_fnv1a(task.aag)) << '\n'
+         << "aag " << task.aag.size() << '\n'
          << task.aag;
       written = static_cast<bool>(os);
     }

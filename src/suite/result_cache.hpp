@@ -10,6 +10,8 @@
 // one self-describing text file each:
 //   <dir>/<team_key>/<benchmark>-<hash16>.result
 // Doubles are stored as hexfloats, so a cached metric round-trips exactly.
+// The circuit body is guarded by its own digest and re-parsed on load, so
+// an altered but well-formed body is a miss, never a served artifact.
 
 #include <cstdint>
 #include <optional>
@@ -32,7 +34,11 @@ namespace lsml::suite {
 /// synth::Script text) behind the leaderboard's script column; cache keys
 /// are salted by synth::OptRequest::fingerprint() instead of a bare
 /// script + options digest.
-inline constexpr std::uint32_t kResultCacheSchemaVersion = 4;
+/// v5: the `script` field is gone (the run's OptRequest, already in the
+/// key, states it); entries carry an fnv1a digest of the aag body
+/// (`aag_fnv1a`), and a load that reads the body misses unless the digest
+/// matches and the body parses to the row's num_ands/num_levels.
+inline constexpr std::uint32_t kResultCacheSchemaVersion = 5;
 
 /// A completed (team, benchmark) task, as cached. The result's
 /// synth_trace (per-pass sizes and wall time) round-trips with it, so a
@@ -71,7 +77,9 @@ class ResultCache {
 
   /// Loads a cached task; nullopt on miss, disabled store, or a corrupt /
   /// schema-stale entry (which is treated as a plain miss). Metrics-only
-  /// callers pass want_aag=false to skip reading the circuit body.
+  /// callers pass want_aag=false to skip reading the circuit body; a load
+  /// that reads it also checks its digest and that it parses to the row's
+  /// num_ands/num_levels.
   [[nodiscard]] std::optional<CachedTask> load(const std::string& team_key,
                                                const std::string& benchmark,
                                                std::uint64_t content_hash,

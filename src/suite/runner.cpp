@@ -86,10 +86,11 @@ std::string leaderboard_csv(const std::vector<portfolio::TeamRun>& runs,
   // Pass wall times stay out of the leaderboards deliberately: artifacts
   // are byte-deterministic in (inputs, entries, seed, pipeline), and
   // timings are not. They live in the cache entries and `lsml synth`.
+  // The script is one setting of the whole run, so leaderboard.json's
+  // `opt` block states it once instead of a column repeating it per row.
   std::ostringstream os;
   os << "team,team_key,benchmark,method,train_acc,valid_acc,test_acc,"
-        "num_ands,num_levels,raw_ands,ands_saved,synth_passes,verified,"
-        "script\n";
+        "num_ands,num_levels,raw_ands,ands_saved,synth_passes,verified\n";
   for (std::size_t e = 0; e < runs.size(); ++e) {
     for (const auto& r : runs[e].results) {
       // Team keys and benchmark names come from registry names and on-disk
@@ -101,8 +102,7 @@ std::string leaderboard_csv(const std::vector<portfolio::TeamRun>& runs,
          << r.num_ands << ',' << r.num_levels << ','
          << r.synth_ands_in() << ',' << r.synth_ands_saved() << ','
          << r.synth_trace.size() << ','
-         << synth::to_string(r.verified) << ','
-         << csv_quote(r.opt_script) << '\n';
+         << synth::to_string(r.verified) << '\n';
     }
   }
   return os.str();
@@ -123,7 +123,7 @@ std::string leaderboard_json(const std::vector<portfolio::TeamRun>& runs,
                      return runs[a].avg_test_acc() > runs[b].avg_test_acc();
                    });
   std::ostringstream os;
-  os << "{\n  \"schema\": \"lsml-leaderboard-v4\",\n  \"seed\": "
+  os << "{\n  \"schema\": \"lsml-leaderboard-v5\",\n  \"seed\": "
      << options.seed << ",\n  \"opt\": {\"script\": \""
      << json_escape(options.opt.script_display()) << "\", \"node_budget\": "
      << options.opt.options.node_budget << ", \"max_rounds\": "
@@ -264,7 +264,8 @@ RunnerReport run_contest_on(const std::vector<portfolio::ContestEntry>& entries,
     core::Rng rng = portfolio::contest_rng(options.seed, entry.team, bench.id);
     aig::Aig circuit{0};
     portfolio::BenchmarkResult result =
-        portfolio::evaluate_on(*learner, bench, rng, &circuit);
+        portfolio::evaluate_on(*learner, bench, rng,
+                               options.opt.options.node_budget, &circuit);
     // Only serialize the circuit when something consumes the text.
     std::string text;
     if (cache.enabled() || options.write_artifacts) {

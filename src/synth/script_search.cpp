@@ -26,10 +26,8 @@ std::uint64_t OptRequest::fingerprint() const {
 
 OptOutcome ScriptSearch::optimize(const aig::Aig& in,
                                   const OptRequest& request) const {
-  OptOutcome out;
-  out.script = request.resolved_script();
-  out.result = PassManager(request.options).run_cached(in, out.script);
-  return out;
+  return {PassManager(request.options).run_cached(in,
+                                                  request.resolved_script())};
 }
 
 // ------------------------------------------------- process default plumbing

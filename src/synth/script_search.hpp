@@ -48,11 +48,11 @@ struct OptRequest {
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
-/// What an optimization request produced: the pass-manager result plus
-/// the script that ran.
+/// What an optimization request produced: the pass-manager result. The
+/// script that ran is the request's own (OptRequest::resolved_script());
+/// callers that report it read it from the request they passed.
 struct OptOutcome {
   SynthResult result;
-  Script script;
 };
 
 /// The fixed-script optimizer behind every optimization surface.

@@ -62,7 +62,7 @@ learn::LearnerFactory renamed(const std::string& key, const char* learner) {
 }
 
 /// fnv1a over every field an artifact row is made of: benchmark, method,
-/// the three accuracies' bits, size, depth, and the optimization script.
+/// the three accuracies' bits, size and depth.
 std::uint64_t results_digest(const std::vector<TeamRun>& runs) {
   std::string blob;
   const auto put = [&blob](const auto& v) {
@@ -79,8 +79,6 @@ std::uint64_t results_digest(const std::vector<TeamRun>& runs) {
       put(r.test_acc);
       put(r.num_ands);
       put(r.num_levels);
-      blob += r.opt_script;
-      blob += '\0';
     }
   }
   return core::fnv1a(blob.data(), blob.size());
@@ -134,7 +132,9 @@ TEST(Contest, EveryTaskMatchesItsStandaloneEvaluation) {
     for (std::size_t i = 0; i < suite.size(); ++i) {
       auto learner = factory.make();
       core::Rng rng = contest_rng(7, run.team, suite[i].id);
-      const BenchmarkResult alone = evaluate_on(*learner, suite[i], rng);
+      const BenchmarkResult alone =
+          evaluate_on(*learner, suite[i], rng,
+                      suite::RunnerOptions{}.opt.options.node_budget);
       EXPECT_EQ(alone.test_acc, run.results[i].test_acc);
       EXPECT_EQ(alone.num_ands, run.results[i].num_ands);
     }
@@ -158,7 +158,7 @@ TEST(Contest, DuplicateEntryKeysAreRejectedEvenInMemory) {
 // recorded from it before it was folded into suite::run_contest_on, so any
 // later change to what a contest task computes shows up here.
 TEST(Contest, GoldenDigestHoldsAtOneAndFourThreads) {
-  constexpr std::uint64_t kGolden = 0xed2d9b27070776f4ULL;
+  constexpr std::uint64_t kGolden = 0x09d1f64b225e01feULL;
   const auto suite = tiny_suite();
   const std::vector<ContestEntry> entries = {
       {1, learn::LearnerFactory::from_registry("dt")},
@@ -176,7 +176,7 @@ TEST(Contest, GoldenDigestHoldsAtOneAndFourThreads) {
 // ISOP and the allocation-free MLP and CGP kernels replaced their
 // predecessors, which these kernels must reproduce bit for bit.
 TEST(Contest, GoldenDigestHoldsForNeuralAndCgpTeams) {
-  constexpr std::uint64_t kGolden = 0x503deb5380e7ff58ULL;
+  constexpr std::uint64_t kGolden = 0x14e969f0348eb622ULL;
   const auto suite = tiny_suite();
   TeamOptions options;
   options.scale = core::Scale::kSmoke;

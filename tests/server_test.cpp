@@ -1685,16 +1685,8 @@ TEST(ServerTest, QueuedRequestsPauseReadingWhileAPooledOneRuns) {
   Server server(options);
   server.start();
 
-  constexpr std::int64_t kSleepMs = 2000;
-  Client client;
-  client.connect("127.0.0.1", server.port());
-  Json sleepy = make_request("ping");
-  sleepy.set("id", std::int64_t{-1});
-  sleepy.set("sleep_ms", kSleepMs);
-  const std::uint64_t pings0 = server.service().stats().pings.load();
-  const auto sent = std::chrono::steady_clock::now();
-  client.send_line(sleepy.dump());
-
+  // The burst is built before the sleep starts, so the wait window below
+  // covers only sending it (building 8 MB is slow under sanitizers).
   constexpr int kPings = 32768;
   const std::string pad(240, 'x');
   std::string burst;
@@ -1705,6 +1697,16 @@ TEST(ServerTest, QueuedRequestsPauseReadingWhileAPooledOneRuns) {
     burst += ping.dump() + "\n";
   }
   ASSERT_GE(burst.size(), std::size_t{8} << 20);
+
+  constexpr std::int64_t kSleepMs = 2000;
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  Json sleepy = make_request("ping");
+  sleepy.set("id", std::int64_t{-1});
+  sleepy.set("sleep_ms", kSleepMs);
+  const std::uint64_t pings0 = server.service().stats().pings.load();
+  const auto sent = std::chrono::steady_clock::now();
+  client.send_line(sleepy.dump());
   std::thread writer([&] { client.send_raw(burst); });
 
   while (server.stats().backpressure_pauses.load() == 0 &&

@@ -34,6 +34,10 @@ void write_file(const std::string& path, const std::string& text) {
 
 constexpr const char* kTinyPla = ".i 2\n.o 1\n.p 2\n01 1\n10 0\n.e\n";
 
+/// AIGER text of out = (x0 & x1) & !x2: two AND gates on two levels.
+constexpr const char* kTwoAndAag =
+    "aag 5 3 0 1 2\n2\n4\n6\n10\n8 2 4\n10 8 7\n";
+
 std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
@@ -128,13 +132,13 @@ TEST(SuiteResultCache, RoundTripsBitExact) {
   task.result.train_acc = 1.0 / 3.0;
   task.result.valid_acc = 0.87519999999999998;
   task.result.test_acc = 2.0 / 7.0;
-  task.result.num_ands = 4321;
-  task.result.num_levels = 17;
+  task.result.num_ands = 2;
+  task.result.num_levels = 2;
   task.result.synth_trace.push_back(
       {"c", 6000, 5800, 40, 40, 0.125});
   task.result.synth_trace.push_back(
-      {"rw -k 6", 5800, 4321, 40, 30, 17.03125});
-  task.aag = "aag 0 0 0 0 0\n";
+      {"rw -k 6", 5800, 2, 40, 2, 17.03125});
+  task.aag = kTwoAndAag;
   cache.store("team3", "ex07", 0xdeadbeefULL, task);
 
   const auto loaded = cache.load("team3", "ex07", 0xdeadbeefULL);
@@ -145,18 +149,18 @@ TEST(SuiteResultCache, RoundTripsBitExact) {
   EXPECT_EQ(loaded->result.train_acc, task.result.train_acc);
   EXPECT_EQ(loaded->result.valid_acc, task.result.valid_acc);
   EXPECT_EQ(loaded->result.test_acc, task.result.test_acc);
-  EXPECT_EQ(loaded->result.num_ands, 4321u);
-  EXPECT_EQ(loaded->result.num_levels, 17u);
+  EXPECT_EQ(loaded->result.num_ands, 2u);
+  EXPECT_EQ(loaded->result.num_levels, 2u);
   ASSERT_EQ(loaded->result.synth_trace.size(), 2u);
   EXPECT_EQ(loaded->result.synth_trace[0].pass, "c");
   EXPECT_EQ(loaded->result.synth_trace[1].pass, "rw -k 6");
   EXPECT_EQ(loaded->result.synth_trace[1].ands_before, 5800u);
-  EXPECT_EQ(loaded->result.synth_trace[1].ands_after, 4321u);
-  EXPECT_EQ(loaded->result.synth_trace[1].levels_after, 30u);
+  EXPECT_EQ(loaded->result.synth_trace[1].ands_after, 2u);
+  EXPECT_EQ(loaded->result.synth_trace[1].levels_after, 2u);
   EXPECT_EQ(loaded->result.synth_trace[1].ms, 17.03125)
       << "hexfloat timings round-trip exactly";
   EXPECT_EQ(loaded->result.synth_ands_in(), 6000u);
-  EXPECT_EQ(loaded->result.synth_ands_saved(), 6000u - 4321u);
+  EXPECT_EQ(loaded->result.synth_ands_saved(), 6000u - 2u);
   EXPECT_EQ(loaded->aag, task.aag);
 
   EXPECT_FALSE(cache.load("team3", "ex07", 0xdeadbef0ULL).has_value())
@@ -212,6 +216,33 @@ TEST(SuiteResultCache, CorruptEntryIsAMiss) {
   cache.store("t", "b", 5, CachedTask{});
   write_file(cache.entry_path("t", "b", 5), "# lsml-result v999\ngarbage\n");
   EXPECT_FALSE(cache.load("t", "b", 5).has_value());
+
+  CachedTask task;
+  task.result.num_ands = 2;
+  task.result.num_levels = 2;
+  task.aag = kTwoAndAag;
+  cache.store("t", "b", 6, task);
+  ASSERT_TRUE(cache.load("t", "b", 6).has_value());
+  // A bit-flipped but well-formed body: one fanin digit changed keeps the
+  // AIGER valid and its size and depth, so only the body digest catches it.
+  std::string text = read_file(cache.entry_path("t", "b", 6));
+  const std::size_t gate = text.rfind("8 2 4\n");
+  ASSERT_NE(gate, std::string::npos);
+  text[gate + 4] = '6';
+  write_file(cache.entry_path("t", "b", 6), text);
+  EXPECT_FALSE(cache.load("t", "b", 6).has_value());
+  EXPECT_TRUE(cache.load("t", "b", 6, /*want_aag=*/false).has_value())
+      << "a metrics-only load never reads the body";
+
+  // A body that matches its digest but is not the row's circuit.
+  CachedTask resized = task;
+  resized.result.num_ands = 3;
+  cache.store("t", "b", 7, resized);
+  EXPECT_FALSE(cache.load("t", "b", 7).has_value());
+  CachedTask unparsable = task;
+  unparsable.aag = "aag 2 1 0 1 1\n2\n4\n4 9 2\n";
+  cache.store("t", "b", 8, unparsable);
+  EXPECT_FALSE(cache.load("t", "b", 8).has_value());
 }
 
 TEST(SuiteResultCache, OversizedAagCountIsAMissNotACrash) {
@@ -273,8 +304,12 @@ TEST_F(SuiteRunner, SecondRunIsAllCacheHitsAndBitIdentical) {
   const std::string json = read_file(first.leaderboard_json_path);
   const std::string aag =
       read_file(options.out_dir + "/aig/dt/" + first.benchmarks[0] + ".aag");
-  EXPECT_FALSE(csv.empty());
-  EXPECT_FALSE(json.empty());
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "team,team_key,benchmark,method,train_acc,valid_acc,test_acc,"
+            "num_ands,num_levels,raw_ands,ands_saved,synth_passes,verified")
+      << "the run's script lives in leaderboard.json, not a column";
+  EXPECT_NE(json.find("\"schema\": \"lsml-leaderboard-v5\""),
+            std::string::npos);
   EXPECT_FALSE(aag.empty());
 
   const RunnerReport second = run_suite_dir(suite_dir, entries(), options);

@@ -336,15 +336,16 @@ TEST(PassManager, EachContestTaskOptimizesExactlyOnce) {
 
   PassManager::clear_memo();
   PassManager::reset_counters();
+  const std::uint32_t budget = default_opt_request().options.node_budget;
   const auto learner = learn::LearnerFactory::from_registry("dt").make();
   core::Rng rng = portfolio::contest_rng(2020, 1, bench.id);
   const portfolio::BenchmarkResult result =
-      portfolio::evaluate_on(*learner, bench, rng);
+      portfolio::evaluate_on(*learner, bench, rng, budget);
   EXPECT_EQ(PassManager::runs_executed(), 1u)
       << "one task, one pipeline invocation (got "
       << PassManager::runs_executed() << ")";
   EXPECT_FALSE(result.synth_trace.empty());
-  EXPECT_LE(result.num_ands, default_opt_request().options.node_budget);
+  EXPECT_LE(result.num_ands, budget);
   EXPECT_EQ(result.synth_ands_in(), result.synth_trace.front().ands_before);
   PassManager::clear_memo();
 }
@@ -376,7 +377,6 @@ class RogueLearner final : public learn::Learner {
 TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
   OptRequest small = default_opt_request();
   small.options.node_budget = 100;
-  const ScopedOptRequest scoped(small);
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
@@ -384,8 +384,8 @@ TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
   RogueLearner rogue;
   core::Rng rng(9);
   aig::Aig circuit{0};
-  const portfolio::BenchmarkResult result =
-      portfolio::evaluate_on(rogue, bench, rng, &circuit);
+  const portfolio::BenchmarkResult result = portfolio::evaluate_on(
+      rogue, bench, rng, small.options.node_budget, &circuit);
   EXPECT_LE(result.num_ands, 100u);
   EXPECT_LE(circuit.num_ands(), 100u);
   EXPECT_NE(result.method.find("+budget"), std::string::npos);
@@ -468,7 +468,6 @@ TEST(BudgetPins, SelectBestWithinBudgetApproximatesTheBestCandidate) {
 TEST(BudgetPins, EvaluateOnBudgetPath) {
   OptRequest small = default_opt_request();
   small.options.node_budget = 100;
-  const ScopedOptRequest scoped(small);
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
@@ -476,8 +475,8 @@ TEST(BudgetPins, EvaluateOnBudgetPath) {
   RogueLearner rogue;
   core::Rng rng(9);
   aig::Aig circuit{0};
-  const portfolio::BenchmarkResult result =
-      portfolio::evaluate_on(rogue, bench, rng, &circuit);
+  const portfolio::BenchmarkResult result = portfolio::evaluate_on(
+      rogue, bench, rng, small.options.node_budget, &circuit);
   EXPECT_EQ(result.method, "rogue+budget");
   EXPECT_EQ(circuit.content_hash(), 9467774237825089791ULL);
   EXPECT_EQ(trace_text(result.synth_trace), "approx -n 100:180>91;");
