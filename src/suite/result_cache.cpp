@@ -28,14 +28,8 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-bool parse_hex16(const std::string& text, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 16);
-  return text.size() == 16 && *end == '\0';
-}
-
-std::uint64_t aag_fnv1a(const std::string& aag) {
-  return core::fnv1a(aag.data(), aag.size());
+std::string aag_digest(const std::string& aag) {
+  return hex16(core::fnv1a(aag.data(), aag.size()));
 }
 
 /// Hexfloat spelling: the only decimal-free, bit-exact double round-trip.
@@ -176,9 +170,9 @@ std::optional<CachedTask> ResultCache::load(const std::string& team_key,
     }
     r.synth_trace.push_back(std::move(stats));
   }
-  std::uint64_t aag_digest = 0;
-  if (!next_field(is, "aag_fnv1a", &value) ||
-      !parse_hex16(value, &aag_digest) || !next_field(is, "aag", &value)) {
+  std::string digest;
+  if (!next_field(is, "aag_fnv1a", &digest) ||
+      !next_field(is, "aag", &value)) {
     return std::nullopt;
   }
   char* end = nullptr;
@@ -207,7 +201,7 @@ std::optional<CachedTask> ResultCache::load(const std::string& team_key,
   // A well-formed but altered body (a flipped fanin digit) would otherwise
   // be served as this row's artifact: check the digest, then that the body
   // is the circuit the metrics describe.
-  if (aag_fnv1a(task.aag) != aag_digest) {
+  if (aag_digest(task.aag) != digest) {
     return std::nullopt;
   }
   try {
@@ -260,7 +254,7 @@ void ResultCache::store(const std::string& team_key,
            << s.levels_before << ' ' << s.levels_after << ' '
            << double_repr(s.ms) << ' ' << s.pass << '\n';
       }
-      os << "aag_fnv1a " << hex16(aag_fnv1a(task.aag)) << '\n'
+      os << "aag_fnv1a " << aag_digest(task.aag) << '\n'
          << "aag " << task.aag.size() << '\n'
          << task.aag;
       written = static_cast<bool>(os);

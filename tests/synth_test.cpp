@@ -375,8 +375,7 @@ class RogueLearner final : public learn::Learner {
 }  // namespace
 
 TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
-  OptRequest small = default_opt_request();
-  small.options.node_budget = 100;
+  constexpr std::uint32_t kBudget = 100;
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
@@ -385,9 +384,9 @@ TEST(PassManager, EvaluateOnEnforcesTheArtifactBudget) {
   core::Rng rng(9);
   aig::Aig circuit{0};
   const portfolio::BenchmarkResult result = portfolio::evaluate_on(
-      rogue, bench, rng, small.options.node_budget, &circuit);
-  EXPECT_LE(result.num_ands, 100u);
-  EXPECT_LE(circuit.num_ands(), 100u);
+      rogue, bench, rng, kBudget, &circuit);
+  EXPECT_LE(result.num_ands, kBudget);
+  EXPECT_LE(circuit.num_ands(), kBudget);
   EXPECT_NE(result.method.find("+budget"), std::string::npos);
   EXPECT_FALSE(result.synth_trace.empty());
 }
@@ -466,8 +465,7 @@ TEST(BudgetPins, SelectBestWithinBudgetApproximatesTheBestCandidate) {
 }
 
 TEST(BudgetPins, EvaluateOnBudgetPath) {
-  OptRequest small = default_opt_request();
-  small.options.node_budget = 100;
+  constexpr std::uint32_t kBudget = 100;
 
   oracle::SuiteOptions suite_options;
   suite_options.rows_per_split = 64;
@@ -476,7 +474,7 @@ TEST(BudgetPins, EvaluateOnBudgetPath) {
   core::Rng rng(9);
   aig::Aig circuit{0};
   const portfolio::BenchmarkResult result = portfolio::evaluate_on(
-      rogue, bench, rng, small.options.node_budget, &circuit);
+      rogue, bench, rng, kBudget, &circuit);
   EXPECT_EQ(result.method, "rogue+budget");
   EXPECT_EQ(circuit.content_hash(), 9467774237825089791ULL);
   EXPECT_EQ(trace_text(result.synth_trace), "approx -n 100:180>91;");
